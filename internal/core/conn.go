@@ -69,21 +69,14 @@ type sendItem struct {
 	streamSlot bool          // release one of the connection's stream send slots after transmission
 }
 
-// ctrlEvent is a control packet leaving a receive loop for another
-// goroutine. ref is the pooled receive buffer backing ctl.Body — a
-// reference handed off by the receive loop (buf.Handoff) that the
-// consumer must release once it is done with the body; nil when the
-// body does not alias pooled storage.
+// ctrlEvent is an acknowledgment on its way from a control receive
+// loop to its session's send loop. ref is the pooled receive buffer
+// backing ctl.Body — a reference handed off by the receive loop
+// (buf.Handoff) that the consumer releases once it is done with the
+// body.
 type ctrlEvent struct {
 	ctl packet.Control
 	ref *buf.Buffer
-}
-
-// release drops the event's buffer reference, if it carries one.
-func (e ctrlEvent) release() {
-	if e.ref != nil {
-		e.ref.Release()
-	}
 }
 
 // recvSession wraps an inbound error-control session with its delivery
@@ -283,10 +276,7 @@ func (c *Connection) flowRecv() flowctl.Receiver {
 		// fast path gets none: it emits control inline on the receive
 		// procedure's goroutine, and an emitterless receiver arms no
 		// timers at all.
-		flowctl.SetEmitter(fr, func(ctl packet.Control) bool {
-			ctl.ConnID = c.id
-			return c.enqueueCtrl(ctl)
-		})
+		flowctl.SetEmitter(fr, c.emitCtrl)
 	}
 	select {
 	case <-c.closedCh:
@@ -313,14 +303,21 @@ func (c *Connection) FlowStats() (flowctl.SenderStats, bool) {
 // (RecvMessage) share this accessor, so a consumer always selects on
 // the same channel a producer delivers into.
 func (c *Connection) deliveredQ() chan Message {
-	if p := c.delivered.Load(); p != nil {
-		return *p
+	return lazyChan(&c.delivered, deliveredQueueDepth)
+}
+
+// lazyChan returns the channel published in p, making it (with
+// capacity n) on first use. A racing maker's channel loses the
+// compare-and-swap and is dropped, so every caller shares one channel.
+func lazyChan[T any](p *atomic.Pointer[chan T], n int) chan T {
+	if q := p.Load(); q != nil {
+		return *q
 	}
-	ch := make(chan Message, deliveredQueueDepth)
-	if c.delivered.CompareAndSwap(nil, &ch) {
+	ch := make(chan T, n)
+	if p.CompareAndSwap(nil, &ch) {
 		return ch
 	}
-	return *c.delivered.Load()
+	return *p.Load()
 }
 
 // attachShard registers the connection with its System's shard pool:
@@ -388,18 +385,37 @@ func (c *Connection) heartbeatThread() {
 	for {
 		select {
 		case <-ticker.C:
-			silent := time.Duration(time.Now().UnixNano() - c.lastHeard.Load())
-			if silent > 3*c.opts.Heartbeat {
-				c.failed.Store(true)
-				// Close from a fresh goroutine: Close waits for this
-				// thread via wg.Wait.
-				go c.Close()
+			if !c.heartbeat() {
 				return
 			}
-			c.enqueueCtrl(packet.Control{Type: packet.CtrlPing, ConnID: c.id})
 		case <-c.closedCh:
 			return
 		}
+	}
+}
+
+// heartbeat is the one heartbeat check, shared by heartbeatThread and
+// the sharded runtime's heartbeatSweep: after three silent intervals it
+// declares the peer unreachable and fails the connection (from a fresh
+// goroutine — Close waits for the heartbeat thread via wg.Wait);
+// otherwise it pings the peer. It reports whether the connection is
+// still alive.
+func (c *Connection) heartbeat() bool {
+	if silent := time.Duration(time.Now().UnixNano() - c.lastHeard.Load()); silent > 3*c.opts.Heartbeat {
+		c.failed.Store(true)
+		go c.Close()
+		return false
+	}
+	c.emitCtrl(packet.Control{Type: packet.CtrlPing})
+	return true
+}
+
+// heard stamps lastHeard on an inbound packet. The heartbeat check is
+// its only reader, so a connection without heartbeat skips the clock
+// read.
+func (c *Connection) heard() {
+	if c.opts.Heartbeat > 0 {
+		c.lastHeard.Store(time.Now().UnixNano())
 	}
 }
 
@@ -442,35 +458,109 @@ func (c *Connection) Peer() string { return c.peer }
 func (c *Connection) Options() Options { return c.opts }
 
 // ---------------------------------------------------------------------------
-// Send path (steps 1–4 of Figure 4).
+// Send path (steps 1–4 of Figure 4): one procedure for every runtime.
 
 // Send transmits msg reliably or unreliably according to the
 // connection's error control configuration, blocking until the transfer
 // completes (reliable) or is fully handed to the interface (unreliable).
-func (c *Connection) Send(msg []byte) error {
-	if c.opts.FastPath {
-		return c.sendFast(msg, nil)
-	}
-	return c.sendThreaded(msg, nil)
+func (c *Connection) Send(msg []byte) error { return c.send(nil, msg, nil) }
+
+// sendLane bundles the per-channel transmit state a send drives: the
+// flow-control sender admitting each SDU and the lifetime transmit
+// index it is fed. Stream 0 uses the connection's own pair; every
+// other stream brings its own, which is what keeps an exhausted
+// stream's admission wait from touching its siblings.
+type sendLane struct {
+	streamID uint32
+	fc       flowctl.Sender
+	tx       *atomic.Uint32
 }
 
-// unreliableSDU builds the header Segment would give SDU i of n of an
-// unreliable message carrying payload, on the given stream.
-func (c *Connection) unreliableSDU(payload []byte, streamID, sess uint32, i, n int) errctl.SDU {
-	var flags uint16 = packet.FlagUnreliable
-	if i == n-1 {
-		flags |= packet.FlagEnd
+// send is NCS_send on every runtime, for stream 0 (st nil) or a
+// multiplexed stream. The protocol lives here once: segmentation,
+// the error-control Initial/OnAck/OnTimeout loop, RTO selection,
+// Karn-gated RTT samples, and message accounting. A runtime supplies
+// only how it blocks, wakes and does I/O — the admission wait (admit),
+// the SDU hand-off (handoff) and the acknowledgment wait (ackWait).
+func (c *Connection) send(st *stream.State, msg []byte, tr *SendTrace) error {
+	if err := c.checkSendSize(msg); err != nil {
+		return err
 	}
-	return errctl.SDU{
-		Header: packet.DataHeader{
-			Flags:     flags,
-			ConnID:    c.id,
-			SessionID: sess,
-			Seq:       uint32(i),
-			Length:    uint32(len(payload)),
-			StreamID:  streamID,
-		},
-		Payload: payload,
+	var lane sendLane
+	if st != nil {
+		lane = sendLane{streamID: st.ID(), fc: st.FlowSender(), tx: st.TxCounter()}
+	} else {
+		lane = sendLane{fc: c.flowSend(), tx: &c.txCounter}
+	}
+	if c.opts.FastPath {
+		// The procedure-call model has one caller in the protocol at a
+		// time: fast-path sends on every channel serialise here.
+		c.fastSendMu.Lock()
+		defer c.fastSendMu.Unlock()
+	}
+	sess := c.nextSession.Add(1)
+	telemetry.TraceStart(c.id, sess, len(msg))
+	if c.opts.ErrorControl == errctl.None {
+		tr.stamp(tHeader)
+		return c.sendUnreliable(lane, msg, sess, tr)
+	}
+	snd := errctl.NewSenderStream(c.opts.ErrorControl, msg, c.opts.SDUSize, c.id, lane.streamID, sess)
+	tr.stamp(tHeader)
+
+	w := ackWait{c: c, sess: sess}
+	w.open()
+	defer w.close()
+	if err := c.transmit(lane, snd.Initial(), tr, false, &w); err != nil {
+		return err
+	}
+	// Karn's rule: RTT samples come only from sessions that never
+	// retransmitted, timed from the end of the original window.
+	var lastSend time.Time
+	if c.opts.AdaptiveTimeout {
+		lastSend = time.Now()
+	}
+	retransmitted := false
+	for {
+		ev, acked, err := w.next(c.rto())
+		if err != nil {
+			return err
+		}
+		var rt []errctl.SDU
+		if acked {
+			if c.opts.AdaptiveTimeout && !retransmitted {
+				c.rtt.observe(time.Since(lastSend))
+			}
+			var done bool
+			rt, done, err = snd.OnAck(ev.ctl)
+			// OnAck parses the body synchronously, so the handed-off
+			// receive buffer can recycle now.
+			ev.ref.Release()
+			if err != nil && !errors.Is(err, errctl.ErrSessionDone) {
+				return err
+			}
+			if done {
+				c.stats.messagesSent.Add(1)
+				mSendMsgs.IncAt(c.id)
+				return nil
+			}
+		} else {
+			rt = snd.OnTimeout()
+		}
+		if len(rt) == 0 {
+			continue
+		}
+		// Retransmissions transmit synchronously (sync): their payloads
+		// alias msg, which the caller may recycle the moment Send
+		// returns, and the final ack can land while an async duplicate
+		// still sits in a send queue. Waiting for the runtime's
+		// confirmation — it copies the payload into its own staging
+		// buffer before batching — keeps every queued alias inside
+		// Send's lifetime. The original window needs no such barrier: an
+		// ack proves its SDUs were already staged and written.
+		if err := c.transmit(lane, rt, nil, true, &w); err != nil {
+			return err
+		}
+		retransmitted = true
 	}
 }
 
@@ -486,28 +576,39 @@ func (c *Connection) unreliableSegments(msg []byte) (sduSize, n int) {
 	return sduSize, n
 }
 
-// sendUnreliable hands an unreliable (None error control) message to
-// the Send Thread with no per-message sender machinery: a None session
-// never retransmits, so nothing ever refers to it again and the whole
-// sender object (session state, segmentation slice) can be skipped.
-// Segmentation happens inline on the caller's stack; steady-state
-// unreliable sends allocate nothing.
+// sendUnreliable transmits an unreliable (None error control) message
+// with no per-message sender machinery: a None session never
+// retransmits, so nothing ever refers to it again and the whole sender
+// object (session state, segmentation slice) can be skipped.
+// Segmentation happens inline on the caller's stack, building the
+// header Segment would give each SDU; steady-state unreliable sends
+// allocate nothing. The last SDU transmits synchronously, so no queued
+// payload outlives the caller's msg.
 func (c *Connection) sendUnreliable(lane sendLane, msg []byte, sess uint32, tr *SendTrace) error {
 	sduSize, n := c.unreliableSegments(msg)
 	var one [1]errctl.SDU
 	for i := 0; i < n; i++ {
 		lo := i * sduSize
-		hi := lo + sduSize
-		if hi > len(msg) {
-			hi = len(msg)
-		}
-		one[0] = c.unreliableSDU(msg[lo:hi], lane.streamID, sess, i, n)
+		hi := min(lo+sduSize, len(msg))
 		last := i == n-1
+		var flags uint16 = packet.FlagUnreliable
 		var ltr *SendTrace
 		if last {
+			flags |= packet.FlagEnd
 			ltr = tr
 		}
-		if err := c.transmitOn(lane, one[:], ltr, last); err != nil {
+		one[0] = errctl.SDU{
+			Header: packet.DataHeader{
+				Flags:     flags,
+				ConnID:    c.id,
+				SessionID: sess,
+				Seq:       uint32(i),
+				Length:    uint32(hi - lo),
+				StreamID:  lane.streamID,
+			},
+			Payload: msg[lo:hi],
+		}
+		if err := c.transmit(lane, one[:], ltr, last, nil); err != nil {
 			return err
 		}
 	}
@@ -516,199 +617,22 @@ func (c *Connection) sendUnreliable(lane sendLane, msg []byte, sess uint32, tr *
 	return nil
 }
 
-// sendLane bundles the per-channel transmit state a send drives: the
-// flow-control sender admitting each SDU and the lifetime transmit
-// index it is fed. Stream 0 uses the connection's own pair; every
-// other stream brings its own, which is what keeps an exhausted
-// stream's admission wait from touching its siblings.
-type sendLane struct {
-	streamID uint32
-	fc       flowctl.Sender
-	tx       *atomic.Uint32
+// rto is the retransmission timeout: the RTT estimate on connections
+// with AdaptiveTimeout, else the fixed AckTimeout.
+func (c *Connection) rto() time.Duration {
+	if !c.opts.AdaptiveTimeout {
+		return c.opts.AckTimeout
+	}
+	return c.rtt.timeout(c.opts.AckTimeout, minAdaptiveTimeout)
 }
 
-// lane0 is the connection's default (stream 0) send lane.
-func (c *Connection) lane0() sendLane {
-	return sendLane{fc: c.flowSend(), tx: &c.txCounter}
-}
-
-func (c *Connection) sendThreaded(msg []byte, tr *SendTrace) error {
-	return c.sendThreadedOn(c.lane0(), msg, tr)
-}
-
-func (c *Connection) sendThreadedOn(lane sendLane, msg []byte, tr *SendTrace) error {
-	if err := c.checkSendSize(msg); err != nil {
-		return err
-	}
-	sess := c.nextSession.Add(1)
-	telemetry.TraceStart(c.id, sess, len(msg))
-	if c.opts.ErrorControl == errctl.None {
-		if tr != nil {
-			tr.stamp(&tr.tHeader)
-		}
-		return c.sendUnreliable(lane, msg, sess, tr)
-	}
-	snd := errctl.NewSenderStream(c.opts.ErrorControl, msg, c.opts.SDUSize, c.id, lane.streamID, sess)
-	if tr != nil {
-		tr.stamp(&tr.tHeader)
-	}
-
-	ackCh := make(chan ctrlEvent, 4)
-	c.mu.Lock()
-	if c.waiters == nil {
-		c.waiters = make(map[uint32]chan ctrlEvent)
-	}
-	c.waiters[sess] = ackCh
-	c.mu.Unlock()
-	defer func() {
-		c.mu.Lock()
-		delete(c.waiters, sess)
-		c.mu.Unlock()
-		// Deposits happen under c.mu, so after the delete no new event
-		// can land: drain whatever is buffered and release the receive
-		// buffers those events retained (e.g. a duplicate final ack
-		// that raced this session's completion).
-		for {
-			select {
-			case ev := <-ackCh:
-				ev.release()
-			default:
-				return
-			}
-		}
-	}()
-
-	if err := c.transmitOn(lane, snd.Initial(), tr, false); err != nil {
-		return err
-	}
-	rto := func() time.Duration {
-		if !c.opts.AdaptiveTimeout {
-			return c.opts.AckTimeout
-		}
-		return c.rtt.timeout(c.opts.AckTimeout, minAdaptiveTimeout)
-	}
-	lastSend := time.Now()
-	retransmitted := false // Karn's rule: skip samples after a retransmit
-
-	// Retransmission timing: a sharded connection parks its timer on
-	// the System's hashed wheel — thousands of in-flight reliable sends
-	// then share one timer goroutine — while the threaded runtime keeps
-	// its dedicated runtime timer, today's behaviour.
-	var (
-		timer  *time.Timer
-		timerC <-chan time.Time
-		wfire  chan struct{}
-		wt     *wheelTimer
-	)
-	if c.sh != nil {
-		wfire = make(chan struct{}, 1)
-		wt = c.sys.timerWheel().newTimer(func() {
-			select {
-			case wfire <- struct{}{}:
-			default:
-			}
-		})
-		wt.reset(rto())
-		defer wt.stop()
-	} else {
-		timer = time.NewTimer(rto())
-		defer timer.Stop()
-		timerC = timer.C
-	}
-	rearm := func() {
-		if wt != nil {
-			wt.reset(rto())
-		} else {
-			resetTimer(timer, rto())
-		}
-	}
-	// Retransmissions transmit synchronously (the trailing true): their
-	// payloads alias msg, which the caller may recycle the moment Send
-	// returns, and the final ack can land while an async duplicate still
-	// sits in the send queue. Waiting for the Send Thread's confirmation
-	// — it copies the payload into its own staging buffer before
-	// batching — keeps every queued alias inside Send's lifetime. The
-	// original window needs no such barrier: an ack proves its SDUs were
-	// already staged and written. Retransmission is the slow path; the
-	// extra round trip to the Send Thread does not touch healthy sends.
-	onTimeout := func() error {
-		if err := c.transmitOn(lane, snd.OnTimeout(), nil, true); err != nil {
-			return err
-		}
-		lastSend = time.Now()
-		retransmitted = true
-		rearm()
-		return nil
-	}
-	for {
-		select {
-		case ev := <-ackCh:
-			if c.opts.AdaptiveTimeout && !retransmitted {
-				c.rtt.observe(time.Since(lastSend))
-			}
-			rt, done, err := snd.OnAck(ev.ctl)
-			// OnAck parses the body synchronously, so the handed-off
-			// receive buffer can recycle now.
-			ev.release()
-			if err != nil && !errors.Is(err, errctl.ErrSessionDone) {
-				return err
-			}
-			if done {
-				c.stats.messagesSent.Add(1)
-				mSendMsgs.IncAt(c.id)
-				return nil
-			}
-			if len(rt) > 0 {
-				if err := c.transmitOn(lane, rt, nil, true); err != nil {
-					return err
-				}
-				lastSend = time.Now()
-				retransmitted = true
-			}
-			rearm()
-		case <-timerC:
-			if err := onTimeout(); err != nil {
-				return err
-			}
-		case <-wfire:
-			if err := onTimeout(); err != nil {
-				return err
-			}
-		case <-c.closedCh:
-			return ErrConnClosed
-		}
-	}
-}
-
-func resetTimer(t *time.Timer, d time.Duration) {
-	if !t.Stop() {
-		select {
-		case <-t.C:
-		default:
-		}
-	}
-	t.Reset(d)
-}
-
-// doneChPool recycles the one-shot channels that synchronise a sender
-// with the Send Thread's transmission confirmation. The Send Thread
-// deposits a token (rather than closing), so a consumed channel is
-// clean for reuse; channels abandoned on connection close are simply
-// garbage collected.
-var doneChPool = sync.Pool{New: func() any { return make(chan struct{}, 1) }}
-
-// transmit performs the Error-Control → Flow-Control → Send-Thread
-// hand-off for a batch of stream-0 SDUs. When sync is true it waits
-// for the Send Thread to confirm the final SDU left the interface.
-func (c *Connection) transmit(sdus []errctl.SDU, tr *SendTrace, sync bool) error {
-	return c.transmitOn(c.lane0(), sdus, tr, sync)
-}
-
-// transmitOn is transmit against an arbitrary send lane: admission and
-// the transmit index come from the lane, so a stream whose credit
-// window is exhausted blocks only its own sender.
-func (c *Connection) transmitOn(lane sendLane, sdus []errctl.SDU, tr *SendTrace, sync bool) error {
-	fc := lane.fc
+// transmit performs the Error-Control → Flow-Control → runtime hand-off
+// for a batch of SDUs on lane: each is admitted, stamped and handed
+// off. When sync is true the threaded and sharded runtimes wait for
+// confirmation that the final SDU left the interface. w is the
+// session's acknowledgment wait (nil for an unreliable send), which a
+// fast-path admission wait feeds with the acks it reads.
+func (c *Connection) transmit(lane sendLane, sdus []errctl.SDU, tr *SendTrace, sync bool, w *ackWait) error {
 	// Each retransmission is error control's verdict that one earlier
 	// transmission of that sequence was lost; hand the verdict to flow
 	// control first, so the credit the loss returns can fund the
@@ -720,106 +644,300 @@ func (c *Connection) transmitOn(lane sendLane, sdus []errctl.SDU, tr *SendTrace,
 		}
 	}
 	if rtx > 0 {
-		flowctl.NoteLoss(fc, rtx)
+		flowctl.NoteLoss(lane.fc, rtx)
 	}
 	// The credit wait and the retransmission timer answer the same
 	// question — how long before presuming something was lost — so a
-	// connection with adaptive timeouts applies its RTT estimate here
-	// too: a wedged grant is then repaired at round-trip pace instead
-	// of the fixed fallback.
-	wait := c.opts.AckTimeout
-	if c.opts.AdaptiveTimeout {
-		wait = c.rtt.timeout(c.opts.AckTimeout, minAdaptiveTimeout)
-	}
+	// connection with adaptive timeouts applies its RTT estimate to
+	// admission too: a wedged grant is then repaired at round-trip pace
+	// instead of the fixed fallback.
+	wait := c.rto()
 	for i, sdu := range sdus {
-		idx := lane.tx.Add(1) - 1
-		for {
-			err := fc.AcquireTimeout(idx, wait)
-			if err == nil {
-				break
-			}
-			if errors.Is(err, flowctl.ErrAcquireTimeout) {
-				// On lossy links, dropped data packets consume credits
-				// whose grants never return; resynchronise and retry.
-				// On a stream lane this is also the unconsumed-peer case
-				// — the wait burned a full interval without a grant.
-				if lane.streamID != 0 {
-					stream.NoteCreditWait()
-					if err := c.streamSendable(lane.streamID); err != nil {
-						return err
-					}
-				}
-				fc.Resync()
-				continue
-			}
-			if lane.streamID != 0 {
-				if serr := c.streamSendable(lane.streamID); serr != nil {
-					return serr
-				}
-			}
-			return ErrConnClosed
+		if err := c.admit(lane, wait, w); err != nil {
+			return err
 		}
-		c.stats.sdusSent.Add(1)
-		c.stats.bytesSent.Add(uint64(len(sdu.Payload)))
-		mSendSDUs.IncAt(c.id)
-		mSendBytes.AddAt(c.id, int64(len(sdu.Payload)))
-		if sdu.Header.Flags&packet.FlagRetransmit != 0 {
-			c.stats.retransmissions.Add(1)
+		c.noteSent(sdu)
+		var ltr *SendTrace
+		last := i == len(sdus)-1
+		if last {
+			ltr = tr
 		}
-		telemetry.TraceStamp(c.id, sdu.Header.SessionID, telemetry.StageStaged)
-		item := sendItem{sdu: sdu}
-		if lane.streamID != 0 {
-			// Stream SDUs take a queue-residency slot so they can never
-			// monopolise the outbound queue ahead of stream 0 (see
-			// streamSendSlots); released after transmission.
-			select {
-			case c.streamSlotCh() <- struct{}{}:
-				item.streamSlot = true
-			case <-c.closedCh:
-				return ErrConnClosed
-			}
-		}
-		if i == len(sdus)-1 {
-			item.trace = tr
-			if sync {
-				item.done = doneChPool.Get().(chan struct{})
-			}
-		}
-		if tr != nil && i == len(sdus)-1 {
-			tr.stamp(&tr.tQueued)
-		}
-		if !c.enqueueData(item) {
-			return ErrConnClosed
-		}
-		if item.done != nil {
-			select {
-			case <-item.done:
-				doneChPool.Put(item.done)
-				if tr != nil {
-					tr.stamp(&tr.tReturned)
-				}
-			case <-c.closedCh:
-				// The channel may still receive its token; abandon it
-				// to the garbage collector rather than repooling.
-				return ErrConnClosed
-			}
+		if err := c.handoff(lane.streamID, sdu, ltr, sync && last); err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+// noteSent stamps one SDU leaving error and flow control: the
+// per-connection stats, the system-wide instruments, and the
+// lifecycle tracer's Staged stage.
+func (c *Connection) noteSent(sdu errctl.SDU) {
+	c.stats.sdusSent.Add(1)
+	c.stats.bytesSent.Add(uint64(len(sdu.Payload)))
+	mSendSDUs.IncAt(c.id)
+	mSendBytes.AddAt(c.id, int64(len(sdu.Payload)))
+	if sdu.Header.Flags&packet.FlagRetransmit != 0 {
+		c.stats.retransmissions.Add(1)
+	}
+	telemetry.TraceStamp(c.id, sdu.Header.SessionID, telemetry.StageStaged)
+}
+
+// admit is the admission wait for the lane's next transmit index:
+// flow control's blocking AcquireTimeout on the threaded and sharded
+// runtimes, a wait that pumps the control connection on the fast path
+// (fastAcquire; no one else reads a fast-path sender's grants). A wait
+// that burns its interval without admission presumes a lost grant and
+// resynchronises; on a stream lane it is also the unconsumed-peer case,
+// so the stream's lifecycle is checked and a send toward a closed
+// stream surfaces ErrStreamClosed. Only the fast path gives up, after
+// maxCreditWait AckTimeouts, since its peer may be waiting on this very
+// caller.
+func (c *Connection) admit(lane sendLane, wait time.Duration, w *ackWait) error {
+	fc := lane.fc
+	idx := lane.tx.Add(1) - 1
+	var giveUp time.Time
+	if c.opts.FastPath {
+		if fc.TryAcquire(idx) {
+			return nil
+		}
+		// The fast path bypasses the Sender's blocking entry points, so
+		// it reports its admission wait to flow control's instruments
+		// itself.
+		blockedAt := time.Now()
+		giveUp = blockedAt.Add(maxCreditWait * c.opts.AckTimeout)
+		defer func() { flowctl.NoteFastPathWait(c.opts.FlowControl, time.Since(blockedAt)) }()
+	}
+	for {
+		var err error
+		if c.opts.FastPath {
+			err = c.fastAcquire(fc, idx, wait, w)
+		} else {
+			err = fc.AcquireTimeout(idx, wait)
+		}
+		if err == nil {
+			return nil
+		}
+		timedOut := errors.Is(err, flowctl.ErrAcquireTimeout)
+		if lane.streamID != 0 {
+			if timedOut {
+				stream.NoteCreditWait()
+			}
+			if serr := c.streamSendable(lane.streamID); serr != nil {
+				return serr
+			}
+		}
+		if !timedOut {
+			return ErrConnClosed
+		}
+		if c.opts.FastPath && time.Now().After(giveUp) {
+			return ErrRecvTimeout
+		}
+		fc.Resync()
+	}
+}
+
+// doneChPool recycles the one-shot channels that synchronise a sender
+// with the Send Thread's transmission confirmation. The Send Thread
+// deposits a token (rather than closing), so a consumed channel is
+// clean for reuse; channels abandoned on connection close are simply
+// garbage collected.
+var doneChPool = sync.Pool{New: func() any { return make(chan struct{}, 1) }}
+
+// handoff is the runtime's SDU hand-off: an inline transport write on
+// the fast path; otherwise a deposit on the Send Thread's queue or the
+// shard's outbound queue, waiting for the transmission confirmation
+// when sync is set. Stream SDUs take a queue-residency slot so they can
+// never monopolise the outbound queue ahead of stream 0 (see
+// streamSendSlots); it is released after transmission.
+func (c *Connection) handoff(streamID uint32, sdu errctl.SDU, tr *SendTrace, sync bool) error {
+	if c.opts.FastPath {
+		if err := c.data.SendBuf(marshalSDU(sdu)); err != nil {
+			c.Close()
+			return ErrConnClosed
+		}
+		telemetry.TraceStamp(c.id, sdu.Header.SessionID, telemetry.StageWireOut)
+		return nil
+	}
+	item := sendItem{sdu: sdu, trace: tr}
+	if streamID != 0 {
+		select {
+		case c.streamSlotCh() <- struct{}{}:
+			item.streamSlot = true
+		case <-c.closedCh:
+			return ErrConnClosed
+		}
+	}
+	if sync {
+		item.done = doneChPool.Get().(chan struct{})
+	}
+	tr.stamp(tQueued)
+	if !c.enqueueData(item) {
+		if item.streamSlot {
+			<-c.streamSlotCh()
+		}
+		return ErrConnClosed
+	}
+	if item.done == nil {
+		return nil
+	}
+	select {
+	case <-item.done:
+		doneChPool.Put(item.done)
+		tr.stamp(tReturned)
+		return nil
+	case <-c.closedCh:
+		// The channel may still receive its token; abandon it to the
+		// garbage collector rather than repooling.
+		return ErrConnClosed
+	}
+}
+
+// marshalSDU stages one data SDU into a pooled buffer: the encoding
+// step every runtime's data write shares.
+func marshalSDU(sdu errctl.SDU) *buf.Buffer {
+	sb := buf.GetCap(packet.DataHeaderSize + len(sdu.Payload))
+	sb.B = packet.AppendSDU(sb.B, sdu.Header, sdu.Payload)
+	return sb
+}
+
+// ackWait is one reliable send's wait for its acknowledgments. The
+// threaded and sharded runtimes register a waiter channel the control
+// receive side deposits into (depositAck) and time the wait with a
+// runtime timer (threaded) or a slot on the System's timer wheel
+// (sharded: thousands of in-flight sends then share one timer
+// goroutine). The fast path has neither: it reads the control
+// connection on the caller's goroutine, and an ack for this session —
+// read while waiting for it or for admission — is held here until the
+// send loop consumes it.
+type ackWait struct {
+	c    *Connection
+	sess uint32
+
+	ch      chan ctrlEvent   // threaded and sharded
+	timer   *time.Timer      // threaded
+	wt      *wheelTimer      // sharded
+	expired <-chan time.Time // the timer's (or wheel timer's) expiry
+
+	held    ctrlEvent // fast path: an unconsumed ack for sess
+	holding bool
+}
+
+// open registers the waiter channel on the threaded and sharded
+// runtimes.
+func (w *ackWait) open() {
+	c := w.c
+	if c.opts.FastPath {
+		return
+	}
+	// Room for a short burst (a final ack plus duplicates or a NACK),
+	// so depositAck never blocks; beyond it acks drop and the timer
+	// recovers.
+	w.ch = make(chan ctrlEvent, 4)
+	c.mu.Lock()
+	if c.waiters == nil {
+		c.waiters = make(map[uint32]chan ctrlEvent)
+	}
+	c.waiters[w.sess] = w.ch
+	c.mu.Unlock()
+}
+
+// next waits up to d for the session's next acknowledgment. acked is
+// false when d passed without one: a retransmission timeout. On the
+// fast path d bounds each control read, so other control traffic
+// (grants) restarts the wait.
+func (w *ackWait) next(d time.Duration) (ev ctrlEvent, acked bool, err error) {
+	c := w.c
+	if c.opts.FastPath {
+		for !w.holding {
+			if err := c.fastCtrl(d, w); err != nil {
+				if errors.Is(err, transport.ErrRecvTimeout) {
+					return ctrlEvent{}, false, nil
+				}
+				return ctrlEvent{}, false, err
+			}
+		}
+		ev, w.held, w.holding = w.held, ctrlEvent{}, false
+		return ev, true, nil
+	}
+	switch {
+	case w.wt != nil:
+		w.wt.reset(d)
+	case w.timer != nil:
+		w.timer.Reset(d)
+	case c.sh != nil:
+		fire := make(chan time.Time, 1)
+		w.expired = fire
+		w.wt = c.sys.timerWheel().newTimer(func() {
+			select {
+			case fire <- time.Time{}:
+			default:
+			}
+		})
+		w.wt.reset(d)
+	default:
+		w.timer = time.NewTimer(d)
+		w.expired = w.timer.C
+	}
+	select {
+	case ev := <-w.ch:
+		return ev, true, nil
+	case <-w.expired:
+		return ctrlEvent{}, false, nil
+	case <-c.closedCh:
+		return ctrlEvent{}, false, ErrConnClosed
+	}
+}
+
+// hold keeps ctl, an ack whose body aliases ref, when it belongs to the
+// waiting session; a newer ack supersedes an unconsumed older one.
+// Acks for other sessions are stale stragglers and drop.
+func (w *ackWait) hold(ctl packet.Control, ref *buf.Buffer) {
+	if ctl.SessionID != w.sess {
+		return
+	}
+	if w.holding {
+		w.held.ref.Release()
+	}
+	w.held, w.holding = ctrlEvent{ctl: ctl, ref: ref.Handoff()}, true
+}
+
+// close stops the timers and unregisters the waiter. Deposits happen
+// under c.mu, so after the delete no new event can land: the drain
+// releases the receive buffers buffered events retained (e.g. a
+// duplicate final ack that raced the session's completion).
+func (w *ackWait) close() {
+	if w.holding {
+		w.held.ref.Release()
+	}
+	if w.timer != nil {
+		w.timer.Stop()
+	}
+	if w.wt != nil {
+		w.wt.stop()
+	}
+	if w.ch == nil {
+		return
+	}
+	c := w.c
+	c.mu.Lock()
+	delete(c.waiters, w.sess)
+	c.mu.Unlock()
+	for {
+		select {
+		case ev := <-w.ch:
+			ev.ref.Release()
+		default:
+			return
+		}
+	}
 }
 
 // streamSlotCh returns the connection's stream send-slot semaphore,
 // built on first use — a connection that never sends on a non-zero
 // stream carries none.
 func (c *Connection) streamSlotCh() chan struct{} {
-	if p := c.streamSlotsP.Load(); p != nil {
-		return *p
-	}
-	ch := make(chan struct{}, streamSendSlots)
-	if c.streamSlotsP.CompareAndSwap(nil, &ch) {
-		return ch
-	}
-	return *c.streamSlotsP.Load()
+	return lazyChan(&c.streamSlotsP, streamSendSlots)
 }
 
 // enqueueData hands one data SDU to the connection's runtime: the Send
@@ -831,9 +949,6 @@ func (c *Connection) enqueueData(item sendItem) bool {
 		select {
 		case sc.sendSlots <- struct{}{}:
 		case <-c.closedCh:
-			if item.streamSlot {
-				<-c.streamSlotCh()
-			}
 			return false
 		}
 		mSendQDepth.Observe(int64(len(sc.sendSlots)))
@@ -851,9 +966,6 @@ func (c *Connection) enqueueData(item sendItem) bool {
 	case c.sendQ <- item:
 		return true
 	case <-c.closedCh:
-		if item.streamSlot {
-			<-c.streamSlotCh()
-		}
 		return false
 	}
 }
@@ -899,36 +1011,18 @@ func (c *Connection) sendThread() {
 			batch = batch[:0]
 			for i := range items {
 				it := &items[i]
-				if it.trace != nil {
-					it.trace.stamp(&it.trace.tDequeued)
-				}
-				var sb *buf.Buffer
+				it.trace.stamp(tDequeued)
 				if it.ctrl != nil {
-					sb = buf.GetCap(packet.ControlHeaderSize + len(it.ctrl.Body))
-					sb.B = it.ctrl.Marshal(sb.B)
-					c.stats.controlSent.Add(1)
+					batch = append(batch, c.marshalCtrl(*it.ctrl))
 				} else {
-					sb = buf.GetCap(packet.DataHeaderSize + len(it.sdu.Payload))
-					sb.B = packet.AppendSDU(sb.B, it.sdu.Header, it.sdu.Payload)
+					batch = append(batch, marshalSDU(it.sdu))
 				}
-				batch = append(batch, sb)
 			}
 			mCoalesceDepth.Observe(int64(len(batch)))
 			err := c.data.SendBatch(batch) // consumes the buffer refs
 			for i := range items {
 				it := &items[i]
-				if it.trace != nil {
-					it.trace.stamp(&it.trace.tTransmitted)
-				}
-				if it.ctrl == nil {
-					telemetry.TraceStamp(c.id, it.sdu.Header.SessionID, telemetry.StageWireOut)
-				}
-				if it.done != nil {
-					it.done <- struct{}{} // one-token confirmation (pooled chan)
-				}
-				if it.streamSlot {
-					<-c.streamSlotCh()
-				}
+				c.transmitted(it.ctrl != nil, it.sdu.Header.SessionID, it.trace, it.done, it.streamSlot)
 			}
 			if err != nil {
 				// The connection is going down; propagate so Send
@@ -939,6 +1033,23 @@ func (c *Connection) sendThread() {
 		case <-c.closedCh:
 			return
 		}
+	}
+}
+
+// transmitted is the post-transmission bookkeeping the Send Thread and
+// the shard flush share for each item a batch write carried: trace
+// stamps, the sender's confirmation token (a pooled channel), and the
+// stream send slot.
+func (c *Connection) transmitted(isCtrl bool, sess uint32, tr *SendTrace, done chan struct{}, streamSlot bool) {
+	tr.stamp(tTransmitted)
+	if !isCtrl {
+		telemetry.TraceStamp(c.id, sess, telemetry.StageWireOut)
+	}
+	if done != nil {
+		done <- struct{}{}
+	}
+	if streamSlot {
+		<-c.streamSlotCh()
 	}
 }
 
@@ -1021,10 +1132,8 @@ func (c *Connection) BindInbox(ib *Inbox) error {
 }
 
 // recvThread is the per-connection Receive Thread: it reads the data
-// connection into pooled buffers and activates the flow- and
-// error-control machinery. The receive buffer is released here; any
-// layer that needs a payload view beyond this loop iteration (the
-// error-control reassembly, a control waiter) retains it.
+// connection into pooled buffers and runs each frame through recvFrame,
+// delivering the completed messages.
 func (c *Connection) recvThread() {
 	defer c.wg.Done()
 	for {
@@ -1040,52 +1149,79 @@ func (c *Connection) recvThread() {
 			go c.Close()
 			return
 		}
-		c.lastHeard.Store(time.Now().UnixNano())
-		h, payload, perr := packet.SplitData(b.B)
-		if perr != nil {
-			// In in-band mode the data connection also carries control
-			// packets; demultiplex them here (the per-packet cost the
-			// separate control connection eliminates).
-			if c.opts.InbandControl {
-				c.demuxControl(b)
-			}
-			b.Release()
+		m, ok := c.recvFrame(b)
+		if !ok {
 			continue
 		}
-		m, ok := c.dispatchData(h, payload, b, c.enqueueCtrl)
-		b.Release()
-		if ok {
-			telemetry.TraceFinish(c.id, h.SessionID)
-			if ib := c.inbox.Load(); ib != nil {
-				if ib.put(c, m) {
-					continue
-				}
-				select {
-				case <-c.closedCh:
-					return
-				default:
-				}
-				// The inbox closed under a live connection: unbind and
-				// fall back to the connection's own queue.
-				c.inbox.CompareAndSwap(ib, nil)
+		if ib := c.inbox.Load(); ib != nil {
+			if ib.put(c, m) {
+				continue
 			}
 			select {
-			case c.deliveredQ() <- m:
 			case <-c.closedCh:
 				return
+			default:
 			}
+			// The inbox closed under a live connection: unbind and
+			// fall back to the connection's own queue.
+			c.inbox.CompareAndSwap(ib, nil)
+		}
+		select {
+		case c.deliveredQ() <- m:
+		case <-c.closedCh:
+			return
 		}
 	}
 }
 
-// dispatchData runs one arriving SDU through the receive-side flow and
-// error control, emitting control packets via emit. payload aliases
-// the pooled receive buffer ref (which the error control retains if it
-// must hold the segment); the caller still owns ref and releases it
-// after dispatchData returns. It returns a completed message when the
-// SDU finishes a session.
-func (c *Connection) dispatchData(h packet.DataHeader, payload []byte, ref *buf.Buffer, emit func(packet.Control) bool) (Message, bool) {
+// recvFrame is the receive step every runtime shares for one frame
+// read off the data connection: it stamps lastHeard, parses the frame,
+// demultiplexes in-band control, and runs data through dispatchData.
+// It releases b — any layer that needs a payload view beyond this call
+// (the error-control reassembly, a control waiter) retains it — and
+// returns a completed stream-0 message for the runtime to deliver.
+func (c *Connection) recvFrame(b *buf.Buffer) (Message, bool) {
+	c.heard()
+	h, payload, err := packet.SplitData(b.B)
+	if err != nil {
+		// In in-band mode the data connection also carries control
+		// packets; demultiplex them here (the per-packet cost the
+		// separate control connection eliminates).
+		if c.opts.InbandControl {
+			c.demuxControl(b, nil)
+		}
+		b.Release()
+		return Message{}, false
+	}
+	m, ok := c.dispatchData(h, payload, b)
+	b.Release()
+	if ok {
+		// The trace completes at the delivery hand-off; a message parked
+		// for its consumer would otherwise pin its slot, starving the
+		// sampler.
+		telemetry.TraceFinish(c.id, h.SessionID)
+	}
+	return m, ok
+}
+
+// noteRecv stamps one arriving data SDU: the per-connection stats, the
+// system-wide instruments, and the lifecycle tracer's WireIn stage.
+func (c *Connection) noteRecv(h packet.DataHeader, payload []byte) {
+	c.stats.sdusReceived.Add(1)
+	c.stats.bytesReceived.Add(uint64(len(payload)))
+	mRecvSDUs.IncAt(c.id)
+	mRecvBytes.AddAt(c.id, int64(len(payload)))
 	telemetry.TraceStamp(c.id, h.SessionID, telemetry.StageWireIn)
+}
+
+// dispatchData runs one arriving SDU through the receive-side flow and
+// error control, emitting control packets via emitCtrl. payload
+// aliases the pooled receive buffer ref (which the error control
+// retains if it must hold the segment); the caller still owns ref and
+// releases it after dispatchData returns. It returns a completed
+// message when the SDU finishes a session.
+func (c *Connection) dispatchData(h packet.DataHeader, payload []byte, ref *buf.Buffer) (Message, bool) {
+	c.noteRecv(h, payload)
 	// Stream frames route to their stream's own machinery before the
 	// connection-level flow control ever sees them: stream arrivals
 	// must not consume stream-0 credits (isolation), and completed
@@ -1093,7 +1229,7 @@ func (c *Connection) dispatchData(h packet.DataHeader, payload []byte, ref *buf.
 	// delivery queue — so an unconsumed stream cannot stall the shard
 	// loop, the receive thread, or stream 0.
 	if h.StreamID != 0 {
-		c.dispatchStream(h, payload, ref, emit)
+		c.dispatchStream(h, payload, ref)
 		return Message{}, false
 	}
 	// Step 8–9: the Flow Control Thread updates its state and returns
@@ -1102,17 +1238,11 @@ func (c *Connection) dispatchData(h packet.DataHeader, payload []byte, ref *buf.
 	// SDU sequence number.
 	rxIdx := c.rxCounter.Add(1) - 1
 	for _, ctl := range c.flowRecv().OnData(rxIdx) {
-		ctl.ConnID = c.id
 		ctl.SessionID = h.SessionID
-		if !emit(ctl) {
+		if !c.emitCtrl(ctl) {
 			return Message{}, false
 		}
 	}
-
-	c.stats.sdusReceived.Add(1)
-	c.stats.bytesReceived.Add(uint64(len(payload)))
-	mRecvSDUs.IncAt(c.id)
-	mRecvBytes.AddAt(c.id, int64(len(payload)))
 
 	// Fast path mirroring the send side's singleSDU: a one-SDU message
 	// on a connection without error control is complete on arrival — no
@@ -1146,9 +1276,8 @@ func (c *Connection) dispatchData(h packet.DataHeader, payload []byte, ref *buf.
 
 	acks, done := rs.rcv.OnData(h, payload, ref)
 	for _, a := range acks {
-		a.ConnID = c.id
 		a.SessionID = h.SessionID
-		if !emit(a) {
+		if !c.emitCtrl(a) {
 			return Message{}, false
 		}
 	}
@@ -1158,9 +1287,8 @@ func (c *Connection) dispatchData(h packet.DataHeader, payload []byte, ref *buf.
 		// controller without a dedicated control packet. Non-credit
 		// receivers decline and cost one predicted branch.
 		if g, ok := flowctl.Piggyback(c.flowRecv()); ok {
-			g.ConnID = c.id
 			g.SessionID = h.SessionID
-			if !emit(g) {
+			if !c.emitCtrl(g) {
 				return Message{}, false
 			}
 		}
@@ -1203,25 +1331,38 @@ func (c *Connection) pruneSessionsLocked() {
 	}
 }
 
-// enqueueCtrl hands a control packet to the Control Send Thread (or,
-// in in-band mode, to the Send Thread where it competes with data).
-// It reports false when the connection closed.
-func (c *Connection) enqueueCtrl(ctl packet.Control) bool {
-	if sc := c.sh; sc != nil {
+// emitCtrl is the connection's one control emitter: it stamps the
+// connection ID and hands ctl to the runtime's control output — an
+// inline write on the fast path (serialised by fastCtrlMu, since the
+// receive pump, stream consumers refilling credit, and senders
+// answering pings all emit from their own goroutines), the shard's
+// outbound queue, the Send Thread in in-band mode, or the Control Send
+// Thread. It reports false when the connection closed.
+func (c *Connection) emitCtrl(ctl packet.Control) bool {
+	ctl.ConnID = c.id
+	switch {
+	case c.opts.FastPath:
+		sb := c.marshalCtrl(ctl)
+		c.fastCtrlMu.Lock()
+		err := c.ctrl.SendBuf(sb)
+		c.fastCtrlMu.Unlock()
+		return err == nil
+	case c.sh != nil:
 		// Sharded: the shard loop writes it, batched with whatever
 		// else this cycle produced. Control packets are bounded by the
 		// inbound budget that produced them, so they take no slot.
-		return sc.shard.enqueueOut(outItem{
+		return c.sh.shard.enqueueOut(outItem{
 			c:        c,
 			ctrl:     ctl,
 			isCtrl:   true,
 			ctrlPath: !c.opts.InbandControl,
 		})
-	}
-	if c.opts.InbandControl {
-		item := sendItem{ctrl: &ctl}
+	case c.opts.InbandControl:
+		// The copy is declared here so only in-band emits move a
+		// control packet to the heap.
+		inband := ctl
 		select {
-		case c.sendQ <- item:
+		case c.sendQ <- sendItem{ctrl: &inband}:
 			return true
 		case <-c.closedCh:
 			return false
@@ -1235,18 +1376,24 @@ func (c *Connection) enqueueCtrl(ctl packet.Control) bool {
 	}
 }
 
+// marshalCtrl stages one control packet into a pooled buffer and
+// counts it sent: the encoding step every runtime's control output
+// shares.
+func (c *Connection) marshalCtrl(ctl packet.Control) *buf.Buffer {
+	sb := buf.GetCap(packet.ControlHeaderSize + len(ctl.Body))
+	sb.B = ctl.Marshal(sb.B)
+	c.stats.controlSent.Add(1)
+	return sb
+}
+
 // ctrlSendThread serialises control packets onto the control connection
-// (the Control Send Thread of Figure 1), staging each through a pooled
-// buffer.
+// (the Control Send Thread of Figure 1).
 func (c *Connection) ctrlSendThread() {
 	defer c.wg.Done()
 	for {
 		select {
 		case ctl := <-c.ctrlQ:
-			sb := buf.GetCap(packet.ControlHeaderSize + len(ctl.Body))
-			sb.B = ctl.Marshal(sb.B)
-			c.stats.controlSent.Add(1)
-			if err := c.ctrl.SendBuf(sb); err != nil {
+			if err := c.ctrl.SendBuf(c.marshalCtrl(ctl)); err != nil {
 				go c.Close()
 				return
 			}
@@ -1269,62 +1416,74 @@ func (c *Connection) ctrlRecvThread() {
 			go c.Close()
 			return
 		}
-		c.demuxControl(b)
+		c.demuxControl(b, nil)
 		b.Release()
 	}
 }
 
 // demuxControl parses and routes one control packet out of the pooled
-// receive buffer b. The body stays aliased to b throughout: routing
-// either consumes it synchronously on this goroutine (credits, rate
-// and window updates, pings) or hands the waiting sender a retained
-// reference (buf.Handoff) alongside the event. This is the single
-// demultiplex point shared by the control-path receive loop and the
-// in-band data-path receive loop, which used to duplicate a defensive
-// body copy here.
-func (c *Connection) demuxControl(b *buf.Buffer) {
+// receive buffer b, the single demultiplex point of every control
+// receive loop. The body stays aliased to b throughout: routing
+// consumes it synchronously (credits, rate and window updates, pings),
+// and an acknowledgment reaches its session with a retained reference
+// (buf.Handoff) — held in w by a fast-path sender reading its own
+// control connection, or, when w is nil, deposited for the session's
+// waiting sender.
+func (c *Connection) demuxControl(b *buf.Buffer, w *ackWait) {
 	ctl, err := packet.UnmarshalControl(b.B)
-	if err != nil {
+	if err != nil || !c.routeControl(ctl) {
 		return
 	}
-	c.routeControl(ctl, b)
+	if w != nil {
+		w.hold(ctl, b)
+	} else {
+		c.depositAck(ctl, b)
+	}
 }
 
-// routeControl dispatches a parsed control packet whose body aliases
-// the pooled buffer ref (nil when the body has heap lifetime). The
-// caller keeps its reference to ref; routeControl retains it only for
-// events that cross to another goroutine.
-func (c *Connection) routeControl(ctl packet.Control, ref *buf.Buffer) {
+// routeControl is the one switch over control types. It counts and
+// stamps every arrival and routes all but acknowledgments, for which
+// it reports true: how an ack reaches its session is the caller's
+// (the runtime's) decision.
+func (c *Connection) routeControl(ctl packet.Control) (ack bool) {
 	c.stats.controlReceived.Add(1)
-	c.lastHeard.Store(time.Now().UnixNano())
+	c.heard()
 	switch ctl.Type {
 	case packet.CtrlPing:
-		c.enqueueCtrl(packet.Control{Type: packet.CtrlPong, ConnID: c.id})
+		c.emitCtrl(packet.Control{Type: packet.CtrlPong})
 	case packet.CtrlPong:
 		// lastHeard already refreshed; nothing else to do.
 	case packet.CtrlCredit, packet.CtrlCreditGrant, packet.CtrlRate, packet.CtrlWinAck:
+		// Connection-scoped flow control feeds the connection's sender,
+		// never a stream lane's: the credit spaces must not mix.
 		c.flowSend().OnControl(ctl)
 	case packet.CtrlStreamGrant, packet.CtrlStreamOpen, packet.CtrlStreamClose:
 		c.routeStreamCtrl(ctl)
 	case packet.CtrlAck, packet.CtrlNack:
-		// The deposit stays under c.mu so a completing sender can
-		// delete its waiter and then drain the channel without racing a
-		// late deposit (the channel is buffered; the send never blocks).
-		c.mu.Lock()
-		if w := c.waiters[ctl.SessionID]; w != nil {
-			ev := ctrlEvent{ctl: ctl}
-			if ref != nil {
-				ev.ref = ref.Handoff()
-			}
-			select {
-			case w <- ev:
-			default:
-				// The session is busy processing a previous ack; dropping
-				// this one is safe — the sender's timer recovers.
-				ev.release()
-			}
-		}
-		c.mu.Unlock()
+		return true
+	}
+	return false
+}
+
+// depositAck hands an acknowledgment, whose body aliases the pooled
+// buffer ref, to the session's registered waiter (threaded and sharded
+// runtimes). The deposit stays under c.mu so a completing sender can
+// delete its waiter and then drain the channel without racing a late
+// deposit (the channel is buffered; the send never blocks).
+func (c *Connection) depositAck(ctl packet.Control, ref *buf.Buffer) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	w := c.waiters[ctl.SessionID]
+	if w == nil {
+		return
+	}
+	ev := ctrlEvent{ctl: ctl, ref: ref.Handoff()}
+	select {
+	case w <- ev:
+	default:
+		// The session is busy processing a previous ack; dropping
+		// this one is safe — the sender's timer recovers.
+		ev.ref.Release()
 	}
 }
 
@@ -1333,16 +1492,18 @@ func (c *Connection) routeControl(ctl packet.Control, ref *buf.Buffer) {
 // LastTrace returns the most recent instrumented send breakdown, or nil.
 func (c *Connection) LastTrace() *SendTrace { return c.lastTrace.Load() }
 
-// SendInstrumented sends msg and captures the Table I stage breakdown.
-// The connection must have Instrument enabled and use the threaded path.
+// SendInstrumented sends msg on stream 0 and captures the Table I
+// stage breakdown. It works on threaded and sharded connections (the
+// shard loop stands in for the Send Thread); a fast-path connection has
+// no queue hand-off to time and returns ErrFastPathOnly.
 func (c *Connection) SendInstrumented(msg []byte) (*SendTrace, error) {
 	if c.opts.FastPath {
 		return nil, ErrFastPathOnly
 	}
 	tr := newSendTrace()
-	tr.stamp(&tr.tEnter)
-	err := c.sendThreaded(msg, tr)
-	tr.stamp(&tr.tExit)
+	tr.stamp(tEnter)
+	err := c.send(nil, msg, tr)
+	tr.stamp(tExit)
 	if err != nil {
 		return nil, err
 	}
@@ -1382,18 +1543,15 @@ func (c *Connection) Close() error {
 		c.data.Close()
 		c.ctrl.Close()
 		c.wg.Wait()
-		if sc := c.sh; sc != nil {
+		switch {
+		case c.sh != nil:
 			// Pumps have exited (wg). Deregister and barrier against
 			// the cycle that may still be dispatching our packets; the
 			// closed transports guarantee no new ones can surface. Then
 			// drain the pump channels' pooled buffers and reap.
-			sc.shard.unregister(c)
-			sc.drainInbound()
-			c.reapSessions()
-			c.reapStreams()
-			return
-		}
-		if c.opts.FastPath {
+			c.sh.shard.unregister(c)
+			c.sh.drainInbound()
+		case c.opts.FastPath:
 			// No threads to join; a fast-path Recv may still be inside
 			// the session machinery (possibly the very caller running
 			// this Close after a transport error). Reap from a fresh
@@ -1402,24 +1560,26 @@ func (c *Connection) Close() error {
 			go func() {
 				c.fastRecvMu.Lock()
 				defer c.fastRecvMu.Unlock()
-				c.reapSessions()
-				c.reapStreams()
+				c.reap()
 			}()
-		} else {
-			// The receive threads have exited; nothing touches the
-			// session table concurrently anymore.
-			c.reapSessions()
-			c.reapStreams()
+			return
 		}
+		// The receive threads have exited (or the shard barrier
+		// passed); nothing touches the session table concurrently
+		// anymore.
+		c.reap()
 	})
 	return nil
 }
 
-// reapSessions abandons inbound sessions still incomplete at teardown,
-// releasing the pooled receive buffers their reassembly retained.
-func (c *Connection) reapSessions() {
+// reap abandons inbound sessions still incomplete at teardown,
+// releasing the pooled receive buffers their reassembly retained, and
+// tears down every stream (retained reassembly buffers, per-stream
+// credit timers). The mux load runs under c.mu so it serialises with
+// a racing mux(): whichever side runs second observes the other's
+// work.
+func (c *Connection) reap() {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	for id, rs := range c.sessions {
 		if !rs.delivered {
 			rs.rcv.Abandon()
@@ -1428,4 +1588,9 @@ func (c *Connection) reapSessions() {
 		errctl.Recycle(rs.rcv)
 	}
 	c.sessAge = nil
+	m := c.muxp.Load()
+	c.mu.Unlock()
+	if m != nil {
+		m.ReapAll()
+	}
 }

@@ -92,6 +92,7 @@ type Options struct {
 	UDPLink *transport.UDPLink
 	// FastPath selects the §4.2 procedure variant: no per-connection
 	// threads; Send/Recv run the protocol inline on the caller.
+	// Heartbeat and InbandControl do not apply to it (see each).
 	FastPath bool
 	// Runtime selects the connection's runtime architecture:
 	// RuntimeThreaded (default) gives it the paper's dedicated
@@ -108,24 +109,29 @@ type Options struct {
 	AckTimeout time.Duration
 	// AdaptiveTimeout derives the retransmission timer from observed
 	// acknowledgment round trips (Jacobson/Karels estimation, Karn's
-	// rule); AckTimeout then acts as the ceiling and initial value.
+	// rule); AckTimeout then acts as the ceiling and initial value. It
+	// also paces flow-control admission waits. All runtimes honour it.
 	AdaptiveTimeout bool
-	// Instrument enables per-stage timing capture on the send path
-	// (Table I). Only honoured on threaded (non-fast-path) connections.
-	Instrument bool
 	// Heartbeat, when positive, probes the peer over the control
 	// connection at this interval; three missed intervals without any
 	// inbound traffic mark the peer unreachable and fail the
 	// connection with ErrPeerUnreachable — the fault-tolerance hook §2
 	// attributes to the separated control path. Threaded connections
-	// only.
+	// run it on a heartbeat thread, sharded ones on their shard's
+	// timer-wheel sweep. The fast path ignores it: with no thread to
+	// tick, nothing probes, and a dead peer surfaces only as a
+	// transport error or an expired RecvTimeout deadline.
 	Heartbeat time.Duration
 	// InbandControl multiplexes control packets onto the data
 	// connection instead of the separate control connection. This is
 	// the architecture the paper argues AGAINST (§2, "Separation of
 	// Control and Data Functions"); it exists for the ablation
-	// benchmark that quantifies the separation's benefit. Threaded
-	// connections only.
+	// benchmark that quantifies the separation's benefit. The threaded
+	// runtime carries control on its Send Thread and demultiplexes it
+	// in the Receive Thread; the sharded runtime writes it on the data
+	// path and demultiplexes it in the shard's data pump. The fast path
+	// ignores it: its senders read acknowledgments and grants off the
+	// control connection, so its control always rides that connection.
 	InbandControl bool
 	// Platform, when non-nil, charges this side's per-operation CPU
 	// costs (copies, system calls) on the connection's transports — the

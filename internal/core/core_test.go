@@ -14,6 +14,17 @@ import (
 	"ncs/internal/transport"
 )
 
+// testRuntimes is the runtime axis for tests that must hold on every
+// driver of the shared per-connection protocol.
+var testRuntimes = []struct {
+	name string
+	set  func(*Options)
+}{
+	{"threaded", func(*Options) {}},
+	{"sharded", func(o *Options) { o.Runtime = RuntimeSharded }},
+	{"fastpath", func(o *Options) { o.FastPath = true }},
+}
+
 // newPairT builds a connected two-system fabric with one connection.
 func newPairT(t *testing.T, opts Options) (client, server *Connection, cleanup func()) {
 	t.Helper()
@@ -396,8 +407,7 @@ func TestRecvTimeout(t *testing.T) {
 
 func TestSendInstrumented(t *testing.T) {
 	conn, peer, cleanup := newPairT(t, Options{
-		Interface:  transport.SCI,
-		Instrument: true,
+		Interface: transport.SCI,
 	})
 	defer cleanup()
 

@@ -5,11 +5,8 @@ import (
 	"time"
 
 	"ncs/internal/buf"
-	"ncs/internal/errctl"
 	"ncs/internal/flowctl"
-	"ncs/internal/packet"
 	"ncs/internal/stream"
-	"ncs/internal/telemetry"
 	"ncs/internal/transport"
 )
 
@@ -20,20 +17,32 @@ import (
 // error control, multicasting algorithms, and low-level communication
 // primitives."
 //
-// The flow- and error-control state machines are the same objects the
-// threads drive; here they execute inline on the caller's goroutine.
+// Those procedures are the connection's shared protocol steps — send,
+// transmit, recvFrame, dispatchData, routeControl, emitCtrl — the same
+// ones the threaded and sharded runtimes drive. The fast path is a
+// third driver of them that runs every step on the caller's goroutine:
+//
+//   - admission: when flow control withholds a credit, the sender reads
+//     and routes the control connection itself until a grant admits it
+//     (fastAcquire), since no Control Receive Thread will;
+//   - hand-off: each SDU is marshalled and written inline;
+//   - acknowledgments: the sender reads them off the control connection
+//     (fastCtrl) into its ackWait instead of waiting on a channel, so a
+//     fast-path send owns no waiter, ack channel or timer;
+//   - control output: emitCtrl writes inline under fastCtrlMu;
+//   - receive: whichever receiver holds fastRecvMu pumps the data
+//     connection through recvFrame for everyone (below).
+//
 // FastPath takes precedence over Options.Runtime: a fast-path
 // connection bypasses the sharded runtime's event loops (shard.go)
-// exactly as it bypasses the per-connection threads — there is nothing
-// between the caller and the transport either way.
-// With no threads to observe transport death, the inline procedures
-// propagate it themselves: any non-timeout transport failure closes
-// the connection, so Done/Err observers (the RPC layer, select loops)
-// see fast-path teardown exactly as they see threaded teardown.
-// Full duplex is preserved — Send reads only the control connection and
-// writes the data connection; Recv reads the data connection and writes
-// the control connection — so an echo exchange may run Send and Recv
-// from different goroutines concurrently.
+// exactly as it bypasses the per-connection threads. With no threads to
+// observe transport death, the inline steps propagate it themselves:
+// any non-timeout transport failure closes the connection, so Done/Err
+// observers see fast-path teardown exactly as they see threaded
+// teardown. Full duplex is preserved — Send reads only the control
+// connection and writes the data connection; Recv reads the data
+// connection and writes the control connection — so an echo exchange
+// may run Send and Recv from different goroutines concurrently.
 //
 // Packets stage through the pooled buffers of internal/buf end to end:
 // on HPI the SDU written here is the very storage the peer's receive
@@ -48,9 +57,8 @@ import (
 // on park0 for stream 0) and ring that channel's doorbell. Receivers
 // that find the pump busy wait on their doorbell plus pumpFree, which
 // is rung whenever the pump hands off. The no-stream single-receiver
-// hot path degenerates to exactly the pre-stream loop — one atomic
-// backlog check, an uncontended TryLock, and the same blocking RecvBuf
-// — preserving its allocation profile.
+// hot path degenerates to one atomic backlog check, an uncontended
+// TryLock, and a blocking RecvBuf.
 //
 // Sends on all channels serialise on fastSendMu (the procedure-call
 // model has one caller in the protocol at a time), so a fast-path
@@ -63,218 +71,40 @@ import (
 // control admission before giving up, in multiples of AckTimeout.
 const maxCreditWait = 10
 
-func (c *Connection) sendFast(msg []byte, tr *SendTrace) error {
-	return c.sendFastOn(c.lane0(), msg, tr)
+// fastAcquire is the fast path's admission wait: it pumps the control
+// connection (fastCtrl) until fc admits idx, or reports
+// flowctl.ErrAcquireTimeout once a read waits out wait with no control
+// traffic at all. Acks read meanwhile are held in w for the session's
+// send loop.
+func (c *Connection) fastAcquire(fc flowctl.Sender, idx uint32, wait time.Duration, w *ackWait) error {
+	for !fc.TryAcquire(idx) {
+		if err := c.fastCtrl(wait, w); err != nil {
+			if errors.Is(err, transport.ErrRecvTimeout) {
+				return flowctl.ErrAcquireTimeout
+			}
+			return err
+		}
+	}
+	return nil
 }
 
-// sendFastOn is the §4.2 send procedure against an arbitrary send
-// lane: stream 0 uses the connection's flow-control state, any other
-// stream its own credit engine, so admission blocks only the lane
-// whose window is exhausted.
-func (c *Connection) sendFastOn(lane sendLane, msg []byte, tr *SendTrace) error {
-	if err := c.checkSendSize(msg); err != nil {
+// fastCtrl reads one control packet on the caller's goroutine, waiting
+// up to wait, and routes it through demuxControl, holding an ack for
+// w's session in w. It returns transport.ErrRecvTimeout when nothing
+// arrived in time, and ErrConnClosed (closing the connection) when the
+// control transport died.
+func (c *Connection) fastCtrl(wait time.Duration, w *ackWait) error {
+	b, err := c.ctrl.RecvBufTimeout(wait)
+	if errors.Is(err, transport.ErrRecvTimeout) {
 		return err
 	}
-	c.fastSendMu.Lock()
-	defer c.fastSendMu.Unlock()
-
-	sess := c.nextSession.Add(1)
-	telemetry.TraceStart(c.id, sess, len(msg))
-	if c.opts.ErrorControl == errctl.None {
-		// Unreliable transfer: flow-control admission, one pooled
-		// staging buffer, one transport write per SDU — the procedure
-		// call §4.2 promises, with no per-message protocol objects.
-		// Segmentation happens inline; nothing allocates.
-		sduSize, n := c.unreliableSegments(msg)
-		for i := 0; i < n; i++ {
-			lo := i * sduSize
-			hi := lo + sduSize
-			if hi > len(msg) {
-				hi = len(msg)
-			}
-			if err := c.fastAdmitOn(lane, sess, nil); err != nil {
-				return err
-			}
-			telemetry.TraceStamp(c.id, sess, telemetry.StageStaged)
-			sdu := c.unreliableSDU(msg[lo:hi], lane.streamID, sess, i, n)
-			sb := buf.GetCap(packet.DataHeaderSize + len(sdu.Payload))
-			sb.B = packet.AppendSDU(sb.B, sdu.Header, sdu.Payload)
-			if err := c.data.SendBuf(sb); err != nil {
-				c.Close()
-				return ErrConnClosed
-			}
-			c.stats.sdusSent.Add(1)
-			c.stats.bytesSent.Add(uint64(len(sdu.Payload)))
-			mSendSDUs.IncAt(c.id)
-			mSendBytes.AddAt(c.id, int64(len(sdu.Payload)))
-			telemetry.TraceStamp(c.id, sess, telemetry.StageWireOut)
-		}
-		c.stats.messagesSent.Add(1)
-		mSendMsgs.IncAt(c.id)
-		return nil
+	if err != nil {
+		c.Close()
+		return ErrConnClosed
 	}
-	snd := errctl.NewSenderStream(c.opts.ErrorControl, msg, c.opts.SDUSize, c.id, lane.streamID, sess)
-
-	queue := snd.Initial()
-	for {
-		// Transmit the queued SDUs, processing control traffic inline
-		// whenever flow control withholds admission. Retransmissions in
-		// the queue are presumed losses: return their credits first so
-		// the write-off funds the resend (see Connection.transmit).
-		rtx := 0
-		for _, sdu := range queue {
-			if sdu.Header.Flags&packet.FlagRetransmit != 0 {
-				rtx++
-			}
-		}
-		if rtx > 0 {
-			flowctl.NoteLoss(lane.fc, rtx)
-		}
-		for _, sdu := range queue {
-			if err := c.fastAdmitOn(lane, sess, snd); err != nil {
-				return err
-			}
-			telemetry.TraceStamp(c.id, sess, telemetry.StageStaged)
-			sb := buf.GetCap(packet.DataHeaderSize + len(sdu.Payload))
-			sb.B = packet.AppendSDU(sb.B, sdu.Header, sdu.Payload)
-			if err := c.data.SendBuf(sb); err != nil {
-				c.Close()
-				return ErrConnClosed
-			}
-			c.stats.sdusSent.Add(1)
-			c.stats.bytesSent.Add(uint64(len(sdu.Payload)))
-			mSendSDUs.IncAt(c.id)
-			mSendBytes.AddAt(c.id, int64(len(sdu.Payload)))
-			telemetry.TraceStamp(c.id, sess, telemetry.StageWireOut)
-			if sdu.Header.Flags&packet.FlagRetransmit != 0 {
-				c.stats.retransmissions.Add(1)
-			}
-		}
-		queue = queue[:0]
-		if snd.Done() {
-			c.stats.messagesSent.Add(1)
-			mSendMsgs.IncAt(c.id)
-			return nil
-		}
-
-		// Await the acknowledgment (or retransmit on timeout).
-		cb, err := c.ctrl.RecvBufTimeout(c.opts.AckTimeout)
-		switch {
-		case errors.Is(err, transport.ErrRecvTimeout):
-			queue = snd.OnTimeout()
-			continue
-		case err != nil:
-			c.Close()
-			return ErrConnClosed
-		}
-		pkt, perr := packet.UnmarshalControl(cb.B)
-		if perr != nil {
-			cb.Release()
-			continue
-		}
-		c.stats.controlReceived.Add(1)
-		var (
-			rt      []errctl.SDU
-			done    bool
-			ackErr  error
-			matched bool
-		)
-		switch pkt.Type {
-		case packet.CtrlCredit, packet.CtrlCreditGrant, packet.CtrlRate, packet.CtrlWinAck:
-			c.flowSend().OnControl(pkt)
-		case packet.CtrlStreamGrant, packet.CtrlStreamOpen, packet.CtrlStreamClose:
-			c.routeStreamCtrl(pkt)
-		case packet.CtrlAck, packet.CtrlNack:
-			if pkt.SessionID == sess {
-				matched = true
-				rt, done, ackErr = snd.OnAck(pkt)
-			}
-			// Otherwise: stale ack from an earlier session; ignore.
-			// (fastSendMu serialises senders, so no concurrent session's
-			// acknowledgments can arrive here.)
-		}
-		// Control handling is synchronous; the receive buffer can
-		// recycle before we act on the outcome.
-		cb.Release()
-		if !matched {
-			continue
-		}
-		if ackErr != nil && !errors.Is(ackErr, errctl.ErrSessionDone) {
-			return ackErr
-		}
-		if done {
-			c.stats.messagesSent.Add(1)
-			mSendMsgs.IncAt(c.id)
-			return nil
-		}
-		queue = rt
-	}
-}
-
-// fastAdmitOn blocks until the lane's flow control admits the next
-// transmission, pumping the control connection while it waits. Stream
-// lanes that burn a full wait interval with no grant record the credit
-// wait and check for a closed stream, so a send toward a peer that
-// closed the stream surfaces ErrStreamClosed instead of spinning out
-// the whole admission budget.
-func (c *Connection) fastAdmitOn(lane sendLane, sess uint32, snd errctl.Sender) error {
-	fc := lane.fc
-	idx := lane.tx.Add(1) - 1
-	if fc.TryAcquire(idx) {
-		return nil
-	}
-	// The fast path bypasses the Sender's blocking entry points, so it
-	// reports its admission wait to flow control's instruments itself.
-	blockedAt := time.Now()
-	defer func() { flowctl.NoteFastPathWait(c.opts.FlowControl, time.Since(blockedAt)) }()
-	for attempt := 0; attempt < maxCreditWait; attempt++ {
-		cb, err := c.ctrl.RecvBufTimeout(c.opts.AckTimeout)
-		if errors.Is(err, transport.ErrRecvTimeout) {
-			// No control traffic at all: assume credit loss and resync.
-			if lane.streamID != 0 {
-				stream.NoteCreditWait()
-				if serr := c.streamSendable(lane.streamID); serr != nil {
-					return serr
-				}
-			}
-			fc.Resync()
-			if fc.TryAcquire(idx) {
-				return nil
-			}
-			continue
-		}
-		if err != nil {
-			c.Close()
-			return ErrConnClosed
-		}
-		pkt, perr := packet.UnmarshalControl(cb.B)
-		if perr == nil {
-			switch pkt.Type {
-			case packet.CtrlStreamGrant, packet.CtrlStreamOpen, packet.CtrlStreamClose:
-				// Stream grants route through the mux to their stream's
-				// credit engine — including, when addressed to it, this
-				// very lane's.
-				c.routeStreamCtrl(pkt)
-			default:
-				// Connection-scoped control feeds the connection's flow
-				// sender, never a stream lane's: the two credit spaces
-				// must not contaminate each other.
-				c.flowSend().OnControl(pkt)
-				// Acks that arrive while we wait for credits still belong
-				// to the active session's error control. Processing them
-				// here would reorder the protocol; the sender sees them
-				// after the batch. Selective repeat and go-back-N both
-				// tolerate delayed acks via their timers.
-				_ = snd
-				_ = sess
-			}
-		}
-		cb.Release()
-		if fc.TryAcquire(idx) {
-			return nil
-		}
-	}
-	return ErrRecvTimeout
+	c.demuxControl(b, w)
+	b.Release()
+	return nil
 }
 
 // ---------------------------------------------------------------------------
@@ -335,23 +165,15 @@ func (c *Connection) park0Pop() (Message, bool) {
 }
 
 // fastPump reads the data transport with fastRecvMu held (the caller
-// acquires it), dispatching every arriving frame: stream frames to
-// their streams, stream-0 completions either returned directly (the
-// stream-0 receiver's own pump, direct=true) or parked on park0. It
+// acquires it) and runs every arriving frame through recvFrame, which
+// parks stream frames on their streams; stream-0 completions are
+// either returned directly (the stream-0 receiver's own pump,
+// direct=true) or parked on park0. It
 // returns when direct delivery succeeds, when stop — checked before
 // each blocking read — reports the caller's condition was met
 // elsewhere (its stream's backlog grew, an accept arrived), when the
 // deadline passes (ErrRecvTimeout), or when the transport dies.
 func (c *Connection) fastPump(direct bool, stop func() bool, deadline time.Time) (Message, bool, error) {
-	emit := func(ctl packet.Control) bool {
-		sb := buf.GetCap(packet.ControlHeaderSize + len(ctl.Body))
-		sb.B = ctl.Marshal(sb.B)
-		c.stats.controlSent.Add(1)
-		c.fastCtrlMu.Lock()
-		err := c.ctrl.SendBuf(sb)
-		c.fastCtrlMu.Unlock()
-		return err == nil
-	}
 	for {
 		if stop != nil && stop() {
 			return Message{}, false, nil
@@ -374,18 +196,11 @@ func (c *Connection) fastPump(direct bool, stop func() bool, deadline time.Time)
 			c.Close()
 			return Message{}, false, ErrConnClosed
 		}
-		h, payload, perr := packet.SplitData(b.B)
-		if perr != nil {
-			b.Release()
-			continue
-		}
-		m, ok := c.dispatchData(h, payload, b, emit)
-		b.Release()
-		if ok {
-			telemetry.TraceFinish(c.id, h.SessionID)
-			if direct {
-				return m, true, nil
-			}
+		m, ok := c.recvFrame(b)
+		switch {
+		case ok && direct:
+			return m, true, nil
+		case ok:
 			c.park0Put(m)
 		}
 	}
@@ -395,30 +210,39 @@ func (c *Connection) fastPump(direct bool, stop func() bool, deadline time.Time)
 // doorbell rings, the pump frees up, the connection closes, or the
 // deadline passes. A nil error means "re-check and retry".
 func (c *Connection) fastWait(bell <-chan struct{}, deadline time.Time) error {
-	if deadline.IsZero() {
-		select {
-		case <-bell:
-		case <-c.pumpFree:
-		case <-c.closedCh:
-			return c.closeErr()
+	var timerC <-chan time.Time
+	if !deadline.IsZero() {
+		remain := time.Until(deadline)
+		if remain <= 0 {
+			return ErrRecvTimeout
 		}
-		return nil
+		t := time.NewTimer(remain)
+		defer t.Stop()
+		timerC = t.C
 	}
-	remain := time.Until(deadline)
-	if remain <= 0 {
-		return ErrRecvTimeout
-	}
-	t := time.NewTimer(remain)
-	defer t.Stop()
 	select {
 	case <-bell:
 	case <-c.pumpFree:
 	case <-c.closedCh:
 		return c.closeErr()
-	case <-t.C:
+	case <-timerC:
 		return ErrRecvTimeout
 	}
 	return nil
+}
+
+// fastTurn is one receiver's turn at the shared pump: with the pump
+// free it pumps (see fastPump for direct and stop) and then hands the
+// pump on; otherwise it waits on bell (fastWait). A nil error without a
+// message means "re-check and retry".
+func (c *Connection) fastTurn(direct bool, stop func() bool, bell <-chan struct{}, deadline time.Time) (Message, bool, error) {
+	if !c.fastRecvMu.TryLock() {
+		return Message{}, false, c.fastWait(bell, deadline)
+	}
+	m, got, err := c.fastPump(direct, stop, deadline)
+	c.fastRecvMu.Unlock()
+	c.pumpRelease()
+	return m, got, err
 }
 
 // recvFast is the §4.2 receive procedure for stream 0.
@@ -432,20 +256,8 @@ func (c *Connection) recvFast(timeout time.Duration) (Message, error) {
 			c.pumpRelease()
 			return m, nil
 		}
-		if c.fastRecvMu.TryLock() {
-			m, got, err := c.fastPump(true, nil, deadline)
-			c.fastRecvMu.Unlock()
-			c.pumpRelease()
-			if err != nil {
-				return Message{}, err
-			}
-			if got {
-				return m, nil
-			}
-			continue
-		}
-		if err := c.fastWait(c.bell0, deadline); err != nil {
-			return Message{}, err
+		if m, got, err := c.fastTurn(true, nil, c.bell0, deadline); got || err != nil {
+			return m, err
 		}
 	}
 }
@@ -467,16 +279,7 @@ func (c *Connection) recvStreamFast(st *stream.State, timeout time.Duration) (Me
 		if st.Closed() || st.RemoteClosed() {
 			return Message{}, ErrStreamClosed
 		}
-		if c.fastRecvMu.TryLock() {
-			_, _, err := c.fastPump(false, st.Ready, deadline)
-			c.fastRecvMu.Unlock()
-			c.pumpRelease()
-			if err != nil {
-				return Message{}, err
-			}
-			continue
-		}
-		if err := c.fastWait(st.Bell(), deadline); err != nil {
+		if _, _, err := c.fastTurn(false, st.Ready, st.Bell(), deadline); err != nil {
 			return Message{}, err
 		}
 	}
@@ -496,16 +299,7 @@ func (c *Connection) acceptFast(m *stream.Mux, deadline time.Time) (*stream.Stat
 		if m.Closed() {
 			return nil, c.closeErr()
 		}
-		if c.fastRecvMu.TryLock() {
-			_, _, err := c.fastPump(false, m.HasAccept, deadline)
-			c.fastRecvMu.Unlock()
-			c.pumpRelease()
-			if err != nil {
-				return nil, err
-			}
-			continue
-		}
-		if err := c.fastWait(m.AcceptBell(), deadline); err != nil {
+		if _, _, err := c.fastTurn(false, m.HasAccept, m.AcceptBell(), deadline); err != nil {
 			return nil, err
 		}
 	}

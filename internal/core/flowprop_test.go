@@ -51,14 +51,6 @@ func TestCreditConservationMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("impairment matrix soak")
 	}
-	runtimes := []struct {
-		name string
-		set  func(*Options)
-	}{
-		{"threaded", func(*Options) {}},
-		{"sharded", func(o *Options) { o.Runtime = RuntimeSharded }},
-		{"fastpath", func(o *Options) { o.FastPath = true }},
-	}
 	schemes := []errctl.Algorithm{errctl.SelectiveRepeat, errctl.GoBackN}
 	// Rates are per ATM cell and an SDU spans several cells, so a
 	// damaged cell loses its whole frame: these values land near 10–20%
@@ -94,7 +86,7 @@ func TestCreditConservationMatrix(t *testing.T) {
 	}
 
 	seed := int64(0)
-	for _, rt := range runtimes {
+	for _, rt := range testRuntimes {
 		for _, ec := range schemes {
 			for _, imp := range impairments {
 				seed++

@@ -55,42 +55,49 @@ func TestRTTEstimatorClamps(t *testing.T) {
 
 func TestAdaptiveTimeoutEndToEnd(t *testing.T) {
 	// A 5 ms-delay circuit: the adaptive timer should settle near the
-	// ~10 ms ack round trip instead of the 500 ms configured ceiling.
-	conn, peer, cleanup := newPairT(t, Options{
-		Interface:       transport.ACI,
-		ErrorControl:    errctl.SelectiveRepeat,
-		FlowControl:     flowctl.None,
-		SDUSize:         1024,
-		AckTimeout:      500 * time.Millisecond,
-		AdaptiveTimeout: true,
-		QoS:             atm.QoS{Delay: 5 * time.Millisecond},
-	})
-	defer cleanup()
+	// ~10 ms ack round trip instead of the 500 ms configured ceiling —
+	// on every runtime, since all of them drive the same send procedure.
+	for _, rt := range testRuntimes {
+		t.Run(rt.name, func(t *testing.T) {
+			opts := Options{
+				Interface:       transport.ACI,
+				ErrorControl:    errctl.SelectiveRepeat,
+				FlowControl:     flowctl.None,
+				SDUSize:         1024,
+				AckTimeout:      500 * time.Millisecond,
+				AdaptiveTimeout: true,
+				QoS:             atm.QoS{Delay: 5 * time.Millisecond},
+			}
+			rt.set(&opts)
+			conn, peer, cleanup := newPairT(t, opts)
+			defer cleanup()
 
-	msg := bytes.Repeat([]byte{3}, 3000)
-	for i := 0; i < 5; i++ {
-		errCh := make(chan error, 1)
-		go func() { errCh <- conn.Send(msg) }()
-		if _, err := peer.Recv(); err != nil {
-			t.Fatal(err)
-		}
-		if err := <-errCh; err != nil {
-			t.Fatal(err)
-		}
-	}
-	rtt := conn.RTT()
-	if rtt == 0 {
-		t.Fatal("RTT never estimated")
-	}
-	if rtt < 8*time.Millisecond || rtt > 80*time.Millisecond {
-		t.Fatalf("RTT estimate = %v, want ≈10ms over a 5ms-delay circuit", rtt)
-	}
+			msg := bytes.Repeat([]byte{3}, 3000)
+			for i := 0; i < 5; i++ {
+				errCh := make(chan error, 1)
+				go func() { errCh <- conn.Send(msg) }()
+				if _, err := peer.Recv(); err != nil {
+					t.Fatal(err)
+				}
+				if err := <-errCh; err != nil {
+					t.Fatal(err)
+				}
+			}
+			rtt := conn.RTT()
+			if rtt == 0 {
+				t.Fatal("RTT never estimated")
+			}
+			if rtt < 8*time.Millisecond || rtt > 80*time.Millisecond {
+				t.Fatalf("RTT estimate = %v, want ≈10ms over a 5ms-delay circuit", rtt)
+			}
 
-	// The estimate must actually shorten loss recovery: with a lost
-	// packet, retransmission fires at the adaptive RTO, far below the
-	// 500 ms ceiling.
-	if rto := conn.rtt.timeout(conn.opts.AckTimeout, minAdaptiveTimeout); rto >= conn.opts.AckTimeout {
-		t.Fatalf("adaptive rto = %v did not drop below ceiling", rto)
+			// The estimate must actually shorten loss recovery: with a
+			// lost packet, retransmission fires at the adaptive RTO, far
+			// below the 500 ms ceiling.
+			if rto := conn.rtt.timeout(conn.opts.AckTimeout, minAdaptiveTimeout); rto >= conn.opts.AckTimeout {
+				t.Fatalf("adaptive rto = %v did not drop below ceiling", rto)
+			}
+		})
 	}
 }
 

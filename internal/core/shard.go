@@ -9,7 +9,6 @@ import (
 	"ncs/internal/buf"
 	"ncs/internal/errctl"
 	"ncs/internal/packet"
-	"ncs/internal/telemetry"
 	"ncs/internal/transport"
 )
 
@@ -406,15 +405,10 @@ func (sh *shard) flushOut() {
 		sc := it.c.sh
 		var sb *buf.Buffer
 		if it.isCtrl {
-			sb = buf.GetCap(packet.ControlHeaderSize + len(it.ctrl.Body))
-			sb.B = it.ctrl.Marshal(sb.B)
-			it.c.stats.controlSent.Add(1)
+			sb = it.c.marshalCtrl(it.ctrl)
 		} else {
-			if it.trace != nil {
-				it.trace.stamp(&it.trace.tDequeued)
-			}
-			sb = buf.GetCap(packet.DataHeaderSize + len(it.sdu.Payload))
-			sb.B = packet.AppendSDU(sb.B, it.sdu.Header, it.sdu.Payload)
+			it.trace.stamp(tDequeued)
+			sb = marshalSDU(it.sdu)
 		}
 		if it.ctrlPath {
 			sc.ctrlBatch = append(sc.ctrlBatch, sb)
@@ -432,30 +426,17 @@ func (sh *shard) flushOut() {
 
 	for i, c := range active {
 		sc := c.sh
-		var failed bool
 		if len(sc.dataBatch) > 0 {
-			sh.batches.Add(1)
-			sh.batchedPackets.Add(uint64(len(sc.dataBatch)))
 			mCoalesceDepth.Observe(int64(len(sc.dataBatch)))
-			if err := c.data.SendBatch(sc.dataBatch); err != nil { // consumes the buffer refs
-				failed = true
-			}
-			sh.finishItems(c, sc.dataItems)
 		}
-		if len(sc.ctrlBatch) > 0 {
-			sh.batches.Add(1)
-			sh.batchedPackets.Add(uint64(len(sc.ctrlBatch)))
-			if err := c.ctrl.SendBatch(sc.ctrlBatch); err != nil {
-				failed = true
-			}
-			sh.finishItems(c, sc.ctrlItems)
-		}
+		dataOK := sh.writeBatch(c, c.data, sc.dataBatch, sc.dataItems)
+		ctrlOK := sh.writeBatch(c, c.ctrl, sc.ctrlBatch, sc.ctrlItems)
 		sc.dataBatch = sc.dataBatch[:0]
 		sc.ctrlBatch = sc.ctrlBatch[:0]
 		clearItems(&sc.dataItems)
 		clearItems(&sc.ctrlItems)
 		sc.inCycle = false
-		if failed {
+		if !dataOK || !ctrlOK {
 			// The transport died; propagate as the threaded Send
 			// Thread does, from a fresh goroutine (Close barriers on
 			// this loop via serviceMu).
@@ -468,27 +449,25 @@ func (sh *shard) flushOut() {
 	sh.outScratch = out
 }
 
-// finishItems performs per-item post-transmission bookkeeping: trace
-// stamps, done tokens, send-slot releases.
-func (sh *shard) finishItems(c *Connection, items []outItem) {
+// writeBatch issues one vectored write of a connection's batch, which
+// consumes the buffer refs, then performs each item's
+// post-transmission bookkeeping. It reports false when the transport
+// failed; an empty batch writes nothing.
+func (sh *shard) writeBatch(c *Connection, t transport.Conn, batch []*buf.Buffer, items []outItem) bool {
+	if len(batch) == 0 {
+		return true
+	}
+	sh.batches.Add(1)
+	sh.batchedPackets.Add(uint64(len(batch)))
+	err := t.SendBatch(batch)
 	for i := range items {
 		it := &items[i]
-		if it.trace != nil {
-			it.trace.stamp(&it.trace.tTransmitted)
-		}
-		if !it.isCtrl {
-			telemetry.TraceStamp(c.id, it.sdu.Header.SessionID, telemetry.StageWireOut)
-		}
-		if it.done != nil {
-			it.done <- struct{}{} // one-token confirmation (pooled chan)
-		}
+		c.transmitted(it.isCtrl, it.sdu.Header.SessionID, it.trace, it.done, it.streamSlot)
 		if it.slot {
 			<-c.sh.sendSlots
 		}
-		if it.streamSlot {
-			<-c.streamSlotCh()
-		}
 	}
+	return err == nil
 }
 
 // clearItems zeroes a drained item slice so payload views, traces, and
@@ -525,73 +504,51 @@ func (sh *shard) pumpCtrl(c *Connection) {
 		return // in-band mode: control arrives on the data path
 	}
 	for i := 0; i < shardRecvBudget; i++ {
-		var b *buf.Buffer
-		if sc.ctrlPoll != nil {
-			var err error
-			b, err = sc.ctrlPoll.TryRecvBuf()
-			if err != nil {
-				go c.Close()
-				return
-			}
-		} else {
-			select {
-			case b = <-sc.ctrlIn:
-			default:
-			}
-		}
+		b := takeIn(c, sc.ctrlPoll, sc.ctrlIn)
 		if b == nil {
 			return
 		}
-		c.demuxControl(b)
+		c.demuxControl(b, nil)
 		b.Release()
 	}
 	sh.requeue(c) // budget exhausted: likely backlog
 }
 
-// pumpData drains the data path through dispatchData — the same flow
-// control, error control, and reassembly the Receive Thread drives.
+// pumpData drains the data path through recvFrame — the same receive
+// step the Receive Thread and the fast-path pump drive.
 func (sh *shard) pumpData(c *Connection) {
 	sc := c.sh
 	for i := 0; i < shardRecvBudget; i++ {
-		var b *buf.Buffer
-		if sc.dataPoll != nil {
-			var err error
-			b, err = sc.dataPoll.TryRecvBuf()
-			if err != nil {
-				go c.Close()
-				return
-			}
-		} else {
-			select {
-			case b = <-sc.dataIn:
-			default:
-			}
-		}
+		b := takeIn(c, sc.dataPoll, sc.dataIn)
 		if b == nil {
 			return
 		}
-		c.lastHeard.Store(time.Now().UnixNano())
-		h, payload, perr := packet.SplitData(b.B)
-		if perr != nil {
-			if c.opts.InbandControl {
-				c.demuxControl(b)
-			}
-			b.Release()
-			continue
-		}
-		m, ok := c.dispatchData(h, payload, b, c.enqueueCtrl)
-		b.Release()
-		if ok {
-			// The trace completes at the delivery hand-off; a parked
-			// message would otherwise pin its slot until the consumer
-			// drains, starving the sampler.
-			telemetry.TraceFinish(c.id, h.SessionID)
-			if !sc.deliverOrStall(c, m) {
-				return // delivery blocked: pause the data path
-			}
+		if m, ok := c.recvFrame(b); ok && !sc.deliverOrStall(c, m) {
+			return // delivery blocked: pause the data path
 		}
 	}
 	sh.requeue(c)
+}
+
+// takeIn takes one pending inbound buffer without blocking, from the
+// polled transport or else the pump channel; nil when none is pending.
+// A polling error means the transport died, which closes the
+// connection.
+func takeIn(c *Connection, poll transport.Poller, in chan *buf.Buffer) *buf.Buffer {
+	if poll != nil {
+		b, err := poll.TryRecvBuf()
+		if err != nil {
+			go c.Close()
+			return nil
+		}
+		return b
+	}
+	select {
+	case b := <-in:
+		return b
+	default:
+		return nil
+	}
 }
 
 // deliverOrStall hands a completed message to the consumer. On a full
@@ -676,9 +633,9 @@ func drainBufChan(ch chan *buf.Buffer) {
 }
 
 // heartbeatSweep is the sharded counterpart of heartbeatThread: one
-// wheel-driven sweep checks every registered connection's silence
-// window and emits pings, instead of one timer goroutine per
-// connection. It runs on the wheel goroutine, which is the sole
+// wheel-driven sweep runs the shared heartbeat check on every
+// registered connection whose interval is due, instead of one timer
+// goroutine per connection. It runs on the wheel goroutine, which is the sole
 // writer of every sharded connection's lastPing.
 func (sh *shard) heartbeatSweep() {
 	now := time.Now()
@@ -691,18 +648,10 @@ func (sh *shard) heartbeatSweep() {
 	}
 	sh.mu.Unlock()
 	for _, c := range conns {
-		hb := c.opts.Heartbeat
-		sc := c.sh
-		if now.Sub(sc.lastPing) < hb {
-			continue
+		if sc := c.sh; now.Sub(sc.lastPing) >= c.opts.Heartbeat {
+			sc.lastPing = now
+			c.heartbeat()
 		}
-		sc.lastPing = now
-		if silent := time.Duration(now.UnixNano() - c.lastHeard.Load()); silent > 3*hb {
-			c.failed.Store(true)
-			go c.Close()
-			continue
-		}
-		c.enqueueCtrl(packet.Control{Type: packet.CtrlPing, ConnID: c.id})
 	}
 	for i := range conns {
 		conns[i] = nil

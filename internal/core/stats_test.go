@@ -100,26 +100,72 @@ func TestStatsCountRetransmissions(t *testing.T) {
 	}
 }
 
+// TestStatsFastPath holds every runtime's stats to the same account of
+// one clean-link transfer. The credit window is smaller than a message,
+// so each sender must block in admission until the receiver's grants
+// arrive — on the fast path, grants it reads off the control connection
+// itself, which must count as ControlReceived like any other runtime's.
 func TestStatsFastPath(t *testing.T) {
-	conn, peer, cleanup := newPairT(t, Options{
-		Interface: transport.HPI,
-		FastPath:  true,
-	})
-	defer cleanup()
+	const (
+		messages, msgSize, sduSize = 3, 16384, 1024
+		initialCredits             = 2
+	)
+	for _, rt := range testRuntimes {
+		t.Run(rt.name, func(t *testing.T) {
+			opts := Options{
+				Interface:    transport.HPI,
+				FlowControl:  flowctl.Credit,
+				FlowConfig:   flowctl.Config{InitialCredits: initialCredits},
+				ErrorControl: errctl.None,
+				SDUSize:      sduSize,
+			}
+			rt.set(&opts)
+			conn, peer, cleanup := newPairT(t, opts)
+			defer cleanup()
 
-	errCh := make(chan error, 1)
-	go func() { errCh <- conn.Send(make([]byte, 2048)) }()
-	if _, err := peer.Recv(); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-errCh; err != nil {
-		t.Fatal(err)
-	}
-	s := conn.Stats()
-	if s.MessagesSent != 1 || s.BytesSent != 2048 {
-		t.Errorf("fast path stats: %+v", s)
-	}
-	if p := peer.Stats(); p.MessagesReceived != 1 || p.BytesReceived != 2048 {
-		t.Errorf("fast path peer stats: %+v", p)
+			errCh := make(chan error, 1)
+			go func() {
+				for i := 0; i < messages; i++ {
+					if err := conn.Send(make([]byte, msgSize)); err != nil {
+						errCh <- err
+						return
+					}
+				}
+				errCh <- nil
+			}()
+			for i := 0; i < messages; i++ {
+				if _, err := peer.Recv(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := <-errCh; err != nil {
+				t.Fatal(err)
+			}
+
+			s, p := conn.Stats(), peer.Stats()
+			const wantSDUs = messages * msgSize / sduSize
+			if s.MessagesSent != messages || p.MessagesReceived != messages {
+				t.Errorf("messages sent/received = %d/%d, want %d", s.MessagesSent, p.MessagesReceived, messages)
+			}
+			if s.SDUsSent != wantSDUs || p.SDUsReceived != wantSDUs {
+				t.Errorf("SDUs sent/received = %d/%d, want %d", s.SDUsSent, p.SDUsReceived, wantSDUs)
+			}
+			if s.BytesSent != messages*msgSize || p.BytesReceived != messages*msgSize {
+				t.Errorf("bytes sent/received = %d/%d, want %d", s.BytesSent, p.BytesReceived, messages*msgSize)
+			}
+			if s.Retransmissions != 0 {
+				t.Errorf("Retransmissions = %d on a clean link", s.Retransmissions)
+			}
+			// With no error control the peer's only control traffic is
+			// credit grants, so grants the sender applied beyond its
+			// initial credits must show up in ControlReceived.
+			fs, ok := conn.FlowStats()
+			if !ok || fs.Granted <= initialCredits {
+				t.Fatalf("flow stats %+v: admission never needed a grant", fs)
+			}
+			if s.ControlReceived == 0 {
+				t.Errorf("ControlReceived = 0, yet grants raised the credit limit to %d", fs.Granted)
+			}
+		})
 	}
 }

@@ -42,7 +42,7 @@ func (c *Connection) mux() *stream.Mux {
 		Flow: c.opts.FlowConfig,
 		Err:  c.opts.ErrorControl,
 	})
-	m.SetEmitter(c.emitStreamCtrl)
+	m.SetEmitter(c.emitCtrl)
 	c.muxp.Store(m)
 	var closed bool
 	select {
@@ -57,40 +57,6 @@ func (c *Connection) mux() *stream.Mux {
 	return m
 }
 
-// reapStreams tears down every stream at connection close, releasing
-// retained reassembly buffers and draining per-stream credit timers.
-// The load runs under c.mu so it serialises with a racing mux():
-// whichever side runs second observes the other's work.
-func (c *Connection) reapStreams() {
-	c.mu.Lock()
-	m := c.muxp.Load()
-	c.mu.Unlock()
-	if m != nil {
-		m.ReapAll()
-	}
-}
-
-// emitStreamCtrl sends one stream-scoped control packet (grants, open
-// and close announcements) over the connection's control path. It is
-// the mux's emitter, so it also runs on consumer goroutines — a
-// TryPop that refills the peer's credit window emits from whatever
-// goroutine popped. On the fast path that means an inline marshal and
-// write under fastCtrlMu (the pump's ack writes take the same lock);
-// the threaded and sharded runtimes enqueue as usual.
-func (c *Connection) emitStreamCtrl(ctl packet.Control) bool {
-	ctl.ConnID = c.id
-	if c.opts.FastPath {
-		sb := buf.GetCap(packet.ControlHeaderSize + len(ctl.Body))
-		sb.B = ctl.Marshal(sb.B)
-		c.stats.controlSent.Add(1)
-		c.fastCtrlMu.Lock()
-		err := c.ctrl.SendBuf(sb)
-		c.fastCtrlMu.Unlock()
-		return err == nil
-	}
-	return c.enqueueCtrl(ctl)
-}
-
 // dispatchStream routes one arriving stream frame (StreamID != 0) to
 // its stream's protocol state, creating the stream on first frame —
 // which is what makes CtrlStreamOpen advisory and lets the fast path
@@ -99,16 +65,8 @@ func (c *Connection) emitStreamCtrl(ctl packet.Control) bool {
 // never on the caller's delivery path, so the receive thread, shard
 // loop, or fast-path pump keeps draining the wire regardless of
 // whether anyone consumes this stream.
-func (c *Connection) dispatchStream(h packet.DataHeader, payload []byte, ref *buf.Buffer, emit func(packet.Control) bool) {
-	c.stats.sdusReceived.Add(1)
-	c.stats.bytesReceived.Add(uint64(len(payload)))
-	mRecvSDUs.IncAt(c.id)
-	mRecvBytes.AddAt(c.id, int64(len(payload)))
-	st := c.mux().Get(h.StreamID)
-	st.OnData(h, payload, ref, func(ctl packet.Control) bool {
-		ctl.ConnID = c.id
-		return emit(ctl)
-	})
+func (c *Connection) dispatchStream(h packet.DataHeader, payload []byte, ref *buf.Buffer) {
+	c.mux().Get(h.StreamID).OnData(h, payload, ref, c.emitCtrl)
 }
 
 // routeStreamCtrl dispatches one stream-scoped control packet. Bodies
@@ -208,7 +166,7 @@ func (c *Connection) OpenStream() (*Stream, error) {
 	}
 	// The announcement is advisory — the first data frame would create
 	// the peer state too — but it lets the peer accept before traffic.
-	c.emitStreamCtrl(packet.Control{
+	c.emitCtrl(packet.Control{
 		Type: packet.CtrlStreamOpen,
 		Body: packet.StreamIDBody(st.ID()),
 	})
@@ -275,11 +233,7 @@ func (s *Stream) Send(msg []byte) error {
 	if st.Closed() || st.RemoteClosed() {
 		return ErrStreamClosed
 	}
-	lane := sendLane{streamID: st.ID(), fc: st.FlowSender(), tx: st.TxCounter()}
-	if s.c.opts.FastPath {
-		return s.c.sendFastOn(lane, msg, nil)
-	}
-	return s.c.sendThreadedOn(lane, msg, nil)
+	return s.c.send(st, msg, nil)
 }
 
 // Recv blocks for the next fully received message on the stream.
@@ -345,7 +299,7 @@ func (s *Stream) Close() error {
 		return nil
 	}
 	s.st.Reap()
-	s.c.emitStreamCtrl(packet.Control{
+	s.c.emitCtrl(packet.Control{
 		Type: packet.CtrlStreamClose,
 		Body: packet.StreamIDBody(s.st.ID()),
 	})

@@ -21,41 +21,58 @@ import (
 // The session overhead is everything except the data transfer itself,
 // exactly as the paper divides it.
 type SendTrace struct {
-	tEnter, tHeader, tQueued, tDequeued, tTransmitted, tReturned, tExit time.Time
+	at [nTraceStages]time.Time
 
 	now func() time.Time
 }
 
+// traceStage indexes SendTrace's stamps.
+type traceStage int
+
+const (
+	tEnter traceStage = iota
+	tHeader
+	tQueued
+	tDequeued
+	tTransmitted
+	tReturned
+	tExit
+	nTraceStages
+)
+
 func newSendTrace() *SendTrace { return &SendTrace{now: time.Now} }
 
-func (t *SendTrace) stamp(field *time.Time) {
+// stamp records stage s; a nil trace (an uninstrumented send) ignores it.
+func (t *SendTrace) stamp(s traceStage) {
 	if t == nil {
 		return
 	}
-	*field = t.now()
+	t.at[s] = t.now()
 }
+
+func (t *SendTrace) span(from, to traceStage) time.Duration { return t.at[to].Sub(t.at[from]) }
 
 // EntryAndHeader covers NCS_send function entry plus header attachment
 // (Table I rows 1–2).
-func (t *SendTrace) EntryAndHeader() time.Duration { return t.tHeader.Sub(t.tEnter) }
+func (t *SendTrace) EntryAndHeader() time.Duration { return t.span(tEnter, tHeader) }
 
 // Queue covers queuing the message request (row 3).
-func (t *SendTrace) Queue() time.Duration { return t.tQueued.Sub(t.tHeader) }
+func (t *SendTrace) Queue() time.Duration { return t.span(tHeader, tQueued) }
 
 // SwitchToSendThread covers the context switch into the Send Thread
 // plus its dequeue (rows 4–5).
-func (t *SendTrace) SwitchToSendThread() time.Duration { return t.tDequeued.Sub(t.tQueued) }
+func (t *SendTrace) SwitchToSendThread() time.Duration { return t.span(tQueued, tDequeued) }
 
 // DataTransfer is the interface transmission itself — the only
 // component Table I classifies as data transfer overhead (row 6).
-func (t *SendTrace) DataTransfer() time.Duration { return t.tTransmitted.Sub(t.tDequeued) }
+func (t *SendTrace) DataTransfer() time.Duration { return t.span(tDequeued, tTransmitted) }
 
 // SwitchBack covers freeing the request and the context switch back to
 // NCS_send (rows 7–8).
-func (t *SendTrace) SwitchBack() time.Duration { return t.tReturned.Sub(t.tTransmitted) }
+func (t *SendTrace) SwitchBack() time.Duration { return t.span(tTransmitted, tReturned) }
 
 // Exit covers NCS_send function exit.
-func (t *SendTrace) Exit() time.Duration { return t.tExit.Sub(t.tReturned) }
+func (t *SendTrace) Exit() time.Duration { return t.span(tReturned, tExit) }
 
 // SessionOverhead is the total minus the data transfer (the paper's
 // session overhead category).
@@ -64,7 +81,7 @@ func (t *SendTrace) SessionOverhead() time.Duration {
 }
 
 // Total is the complete NCS_send duration.
-func (t *SendTrace) Total() time.Duration { return t.tExit.Sub(t.tEnter) }
+func (t *SendTrace) Total() time.Duration { return t.span(tEnter, tExit) }
 
 // Table formats the breakdown in the layout of Table I.
 func (t *SendTrace) Table() string {
